@@ -17,8 +17,6 @@ from .arith import (
     primes_upto,
     sigma,
     sigma_prime_power,
-    spf_segment,
-    spf_sieve,
     valuation,
 )
 from .errors import (

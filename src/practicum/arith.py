@@ -2,9 +2,9 @@
 
 Factorization (trial division + Pollard-Brent behind an explicit work
 budget), divisor sums, p-adic valuations, a CRT solver that accepts
-non-coprime moduli, a gap-free prime stream and a smallest-prime-factor
-sieve.  Everything here works on arbitrary-precision ints; only the
-sieve-indexed helpers are restricted to machine-word sizes.
+non-coprime moduli, a gap-free prime stream and a numpy prime table.
+Everything here works on arbitrary-precision ints; only the prime table is
+restricted to machine-word sizes.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    InconsistentSystem,
-    InvalidInput,
-    MemoryBudgetExceeded,
-)
+from .errors import BudgetExceeded, InconsistentSystem, InvalidInput
 
 # Deterministic Miller-Rabin witness set: correct for all n < 3.3 * 10^24,
 # far beyond anything the factorization budget will let through.
@@ -278,53 +273,3 @@ def primes_upto(limit: int) -> np.ndarray:
         if flags[p]:
             flags[p * p :: p] = False
     return np.nonzero(flags)[0].astype(np.int64)
-
-
-DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes
-
-
-def spf_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit.
-
-    spf[n] is the least prime dividing n for n >= 2; entries 0 and 1 are 0.
-    Restricted to machine-word limits; raises MemoryBudgetExceeded when the
-    table would not fit the byte budget.  For ranges too large to hold at
-    once, use spf_segment.
-    """
-    if limit < 2:
-        raise InvalidInput(f"spf_sieve requires limit >= 2, got {limit}")
-    dtype = np.int32 if limit < 2**31 else np.int64
-    if (limit + 1) * np.dtype(dtype).itemsize > memory_budget:
-        raise MemoryBudgetExceeded(
-            f"spf table for limit {limit} exceeds {memory_budget} bytes"
-        )
-    spf = np.zeros(limit + 1, dtype=dtype)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest
-    return spf
-
-
-def spf_segment(lo: int, hi: int) -> np.ndarray:
-    """Smallest prime factors for [lo, hi) using O(hi - lo) memory.
-
-    Entry i is the least prime dividing lo + i.  Segments stitched in order
-    reproduce spf_sieve exactly, which is what makes per-segment
-    factorization of large ranges possible.
-    """
-    if lo < 2 or hi <= lo:
-        raise InvalidInput(f"need 2 <= lo < hi, got [{lo}, {hi})")
-    seg = np.zeros(hi - lo, dtype=np.int64)
-    for p in primes_upto(math.isqrt(hi - 1)):
-        p = int(p)
-        first = ((lo + p - 1) // p) * p
-        if first >= hi:
-            continue
-        sl = seg[first - lo :: p]
-        sl[sl == 0] = p
-    unmarked = np.nonzero(seg == 0)[0]
-    seg[unmarked] = unmarked + lo  # no factor <= sqrt: prime
-    return seg

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .arith import FactorBudget
-from .errors import FalsificationSignal, ClassificationMismatch, PracticumError
+from .errors import (
+    ClassificationMismatch,
+    FalsificationSignal,
+    InvalidInput,
+    PracticumError,
+)
 from .practical import (
     MultiplierCertificate,
     PracticalityVerdict,
@@ -370,6 +375,8 @@ def _cmd_family(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_goldbach(args, cfg: RunConfig) -> dict:
+    if args.n < 2 or args.n % 2:  # before the bitmap cache is touched
+        raise InvalidInput(f"n must be even and >= 2, got {args.n}")
     bitmap, _ = _get_bitmap(cfg, max(args.n, 4))
     p1, p2 = goldbach_pair(args.n, bitmap)
     out = {"n": args.n, "pair": [p1, p2]}

@@ -4,9 +4,10 @@ A positive integer n is practical when every integer in [1, n] is a sum of
 distinct divisors of n.  The structure theorem (Stewart) makes this
 decidable from the factorization alone: writing n = p1^a1 ... pk^ak with
 p1 < ... < pk, n is practical iff n = 1 or p1 = 2 and every pi satisfies
-pi <= sigma(p1^a1 ... p_{i-1}^a_{i-1}) + 1.  Verdicts carry either the
-full chain of those comparisons or the first failing one, so they can be
-replayed with plain arithmetic.
+pi <= sigma(p1^a1 ... p_{i-1}^a_{i-1}) + 1.  Positive verdicts carry the
+full chain of those comparisons; negative ones carry the practical prefix
+of the chain plus the first failing comparison.  Either kind replays with
+plain arithmetic.
 
 The subset-sum oracle implements the definition directly and exists to
 check the structure test, never to replace it.
@@ -18,13 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .arith import (
-    FactorBudget,
-    Factorization,
-    factorize,
-    sigma,
-    sigma_prime_power,
-)
+from .arith import FactorBudget, Factorization, factorize, sigma_prime_power
 from .errors import BoundViolated, InvalidInput, OracleBoundExceeded
 
 DEFAULT_ORACLE_BOUND = 10**6
@@ -45,8 +40,10 @@ class PracticalityVerdict:
     """Outcome of the structure test for n.
 
     chain steps are (prime, exponent, running_sigma) with running_sigma the
-    divisor sum of the product up to and including that prime power; empty
-    chain means n = 1.
+    divisor sum of the product up to and including that prime power.  On a
+    practical verdict the chain covers all of n (empty chain means n = 1);
+    on a negative one it is the practical prefix before the failing prime,
+    and witness records the first failing comparison.
     """
 
     n: int
@@ -55,25 +52,46 @@ class PracticalityVerdict:
     witness: StewartWitness | None = None
 
     @property
+    def prefix(self) -> int:
+        """Product of the chain's prime powers: n on practical verdicts, the
+        largest practical divisor of n on negative ones."""
+        return math.prod(p**e for p, e, _ in self.chain)
+
+    @property
     def sigma(self) -> int:
-        """sigma(n); only meaningful on practical verdicts."""
+        """sigma(prefix): sigma(n) on practical verdicts, the divisor sum of
+        the practical prefix on negative ones."""
         return self.chain[-1][2] if self.chain else 1
 
     def replay(self) -> bool:
-        """Re-check the verdict with arithmetic only (no factorization)."""
-        if not self.practical:
-            w = self.witness
-            return w is not None and w.prime > w.bound
+        """Re-check the verdict with arithmetic only (no factorization).
+
+        The chain's prime powers must be pairwise coprime, so running_sigma
+        never exceeds the divisor sum of the product so far.  A negative
+        verdict must also show the failing prime dividing n / prefix and
+        exceeding sigma(prefix) + 1; that the cofactor has no smaller prime
+        factor is not checked.
+        """
         value = 1
         running = 1
         for p, e, s in self.chain:
-            if p > running + 1:
+            if p < 2 or e < 1 or math.gcd(p, value) != 1 or p > running + 1:
                 return False
             if s != running * sigma_prime_power(p, e):
                 return False
             value *= p**e
             running = s
-        return value == self.n
+        if self.practical:
+            return value == self.n
+        w = self.witness
+        return (
+            w is not None
+            and w.index == len(self.chain) + 1
+            and w.bound == running + 1
+            and w.prime > w.bound
+            and self.n % value == 0
+            and (self.n // value) % w.prime == 0
+        )
 
 
 def practical_from_factorization(f: Factorization, n: int | None = None) -> PracticalityVerdict:
@@ -84,7 +102,10 @@ def practical_from_factorization(f: Factorization, n: int | None = None) -> Prac
     for i, (p, e) in enumerate(f, start=1):
         if p > running + 1:
             return PracticalityVerdict(
-                n, False, witness=StewartWitness(index=i, prime=p, bound=running + 1)
+                n,
+                False,
+                chain=tuple(chain),
+                witness=StewartWitness(index=i, prime=p, bound=running + 1),
             )
         running *= sigma_prime_power(p, e)
         chain.append((p, e, running))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, prime_stream, sigma, sigma_prime_power
+from .arith import Factorization, factorize, prime_stream, sigma
 from .errors import (
     ClassificationMismatch,
     InvalidInput,
@@ -68,21 +68,14 @@ class PolyWitness:
 def largest_practical_divisor(g: int) -> int:
     """Maximum practical divisor of g (1 divides everything, so always >= 1).
 
-    Greedy over the ascending prime powers of g: taking full exponents and
+    This is the practical prefix of g's verdict: taking full exponents and
     every admissible prime maximizes both the divisor and the divisor-sum
     bound for later primes, and once a prime fails the chain condition all
     larger ones do too.
     """
     if g < 1:
         raise InvalidInput(f"largest_practical_divisor requires g >= 1, got {g}")
-    d = 1
-    sig = 1
-    for p, e in factorize(g):
-        if p > sig + 1:
-            break
-        d *= p**e
-        sig *= sigma_prime_power(p, e)
-    return d
+    return is_practical(g).prefix
 
 
 def classify_ap(a: int, b: int) -> APClassification:
@@ -93,8 +86,9 @@ def classify_ap(a: int, b: int) -> APClassification:
     """
     if a < 1 or b < 1:
         raise InvalidInput(f"classify_ap requires positive a, b; got ({a}, {b})")
-    d = largest_practical_divisor(math.gcd(a, b))
-    bound = sigma(factorize(d)) + 1
+    verdict = is_practical(math.gcd(a, b))
+    d = verdict.prefix  # the largest practical divisor of gcd(a, b)
+    bound = verdict.sigma + 1
     a1 = a // d
     for p in prime_stream():
         if p > bound:
@@ -158,12 +152,9 @@ def ap_constructive_witness(a: int, b: int, threshold: int) -> APWitness:
     k = 1
     while True:
         pk = p**k
-        merged = dict(d_factors)
-        merged[p] = merged.get(p, 0) + k
-        sig = 1
-        for q, e in merged.items():
-            sig *= sigma_prime_power(q, e)
-        if pk >= threshold and pk >= b1 and sig + 1 >= a1 + 1:
+        merged = {**d_factors, p: d_factors.get(p, 0) + k}
+        sig = sigma(Factorization(tuple(sorted(merged.items()))))
+        if pk >= threshold and pk >= b1 and sig >= a1:
             break
         k += 1
 

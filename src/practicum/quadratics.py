@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice, product
 
-from .arith import Factorization, crt_solve, prime_stream, valuation
+from .arith import Factorization, _is_prime, crt_solve, prime_stream, valuation
 from .errors import (
     ClassificationMismatch,
     InvalidInput,
@@ -142,10 +142,20 @@ class QuadWitness:
     t_primes: tuple[int, ...]
 
 
+def _lift(q: QuadraticPoly, p: int, roots: list[int], level: int) -> list[int]:
+    """Roots of q mod p^(level+1) lying over `roots` (distinct roots mod
+    p^level), ascending."""
+    step = p**level
+    mod_next = step * p
+    return sorted(
+        n + j * step for n in roots for j in range(p) if q(n + j * step) % mod_next == 0
+    )
+
+
 def _lift_levels(q: QuadraticPoly, p: int, max_level: int):
     """Level-by-level root lifting for primitive q; returns
     (exponent, FiniteWitness) or (None, InfiniteWitness)."""
-    roots = [n for n in range(p) if q(n) % p == 0]
+    roots = _roots_mod_prime(q, p)
     if not roots:
         return 0, FiniteWitness(root=None, empty_level=1)
     level = 1
@@ -172,16 +182,7 @@ def _lift_levels(q: QuadraticPoly, p: int, max_level: int):
             raise RuntimeError(
                 f"root lifting for {q} mod {p} ran past its termination bound"
             )
-        step = p**level
-        mod_next = step * p
-        nxt = sorted(
-            {
-                n + j * step
-                for n in roots
-                for j in range(p)
-                if q(n + j * step) % mod_next == 0
-            }
-        )
+        nxt = _lift(q, p, roots, level)
         if not nxt:
             return level, FiniteWitness(root=min(roots), empty_level=level + 1)
         roots = nxt
@@ -220,7 +221,7 @@ def mq(q: QuadraticPoly, p: int) -> MqResult:
     Content splits off exactly: m_q(p) = v_p(gcd(a,b,c)) + m for the
     primitive part's m, and infinity is unaffected.
     """
-    if p < 2:
+    if not _is_prime(p):
         raise InvalidInput(f"p must be prime, got {p}")
     g = q.content
     v = valuation(g, p) if g > 1 else 0
@@ -339,14 +340,14 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
 
 
 def _roots_mod_prime(q: QuadraticPoly, p: int) -> list[int]:
-    """All roots of q mod p; discriminant-based for large p, exhaustive for
-    small p (which also covers content divisible by p)."""
+    """All roots of q mod prime p, ascending; exhaustive for small p,
+    discriminant-based for large p."""
     if p <= 30:
         return [n for n in range(p) if q(n) % p == 0]
     a, b, c = q.a % p, q.b % p, q.c % p
     if a == 0:
         if b == 0:
-            return [0] if c == 0 else []
+            return list(range(p)) if c == 0 else []
         return [-c * pow(b, -1, p) % p]
     disc = (b * b - 4 * a * c) % p
     inv2a = pow(2 * a, -1, p)
@@ -374,19 +375,10 @@ def _roots_mod_prime_power(
         return None
     q1 = q.primitive()
     k1 = k - v
-    roots = [n for n in range(p) if q1(n) % p == 0]
+    roots = _roots_mod_prime(q1, p)
     level = 1
     while roots and level < k1:
-        step = p**level
-        mod_next = step * p
-        roots = sorted(
-            {
-                n + j * step
-                for n in roots
-                for j in range(p)
-                if q1(n + j * step) % mod_next == 0
-            }
-        )[: 4 * cap]
+        roots = _lift(q1, p, roots, level)[: 4 * cap]
         level += 1
     if not roots:
         return []
@@ -400,13 +392,10 @@ def _roots_mod_prime_power(
 
 
 def _t_prime_candidates(q: QuadraticPoly, p_r: int, scan_cap: int):
-    """Primes t > p_r with q solvable mod t, paired with their roots."""
+    """Primes t > p_r with q solvable mod t."""
     for t in islice(prime_stream(), scan_cap):
-        if t <= p_r:
-            continue
-        roots = _roots_mod_prime(q, t)
-        if roots:
-            yield t, roots
+        if t > p_r and _roots_mod_prime(q, t):
+            yield t
 
 
 def quad_constructive_witness(
@@ -442,9 +431,9 @@ def quad_constructive_witness(
         k += 1
 
     t_iter = _t_prime_candidates(q, p_r, t_scan_cap)
-    t_list: list[tuple[int, list[int]]] = []
+    t_list: list[int] = []
     for round_no in range(max_rounds):
-        factors = sorted(prefix + [(p_r, k)] + [(t, 1) for t, _ in t_list])
+        factors = sorted(prefix + [(p_r, k)] + [(t, 1) for t in t_list])
         divisor = 1
         for p, e in factors:
             divisor *= p**e
@@ -494,7 +483,7 @@ def quad_constructive_witness(
                 modulus_verdict=mod_verdict,
                 multiplier=multiplier,
                 k=k,
-                t_primes=tuple(t for t, _ in t_list),
+                t_primes=tuple(t_list),
             )
         if round_no % 2 == 0:
             k += 1

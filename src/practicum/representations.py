@@ -227,12 +227,9 @@ def goldbach_pair(
         raise InvalidInput(f"n must be even and >= 2, got {n}")
     if bitmap is None or bitmap.limit < n:
         bitmap = sieve_practicals(n)
-    lookup = bitmap.lookup()
-    half = n // 2
-    for p1 in bitmap.member_list():
-        if p1 > half:
-            break
-        if lookup[n - p1]:
+    flags = bitmap.flags
+    for p1 in range(1, n // 2 + 1):
+        if flags[p1] and flags[n - p1]:
             return p1, n - p1
     raise NotFound(f"no practical pair sums to {n}")
 

@@ -34,8 +34,6 @@ class PracticalBitmap:
 
     def __init__(self, flags: np.ndarray):
         self._flags = flags
-        self._members: list[int] | None = None
-        self._lookup: bytearray | None = None
 
     @property
     def limit(self) -> int:
@@ -54,18 +52,6 @@ class PracticalBitmap:
     def members(self) -> np.ndarray:
         """All practical numbers <= limit, ascending."""
         return np.nonzero(self._flags)[0]
-
-    def member_list(self) -> list[int]:
-        """members() as a cached plain list (fast to iterate from Python)."""
-        if self._members is None:
-            self._members = [int(x) for x in self.members()]
-        return self._members
-
-    def lookup(self) -> bytearray:
-        """Cached byte-per-n membership table (fast scalar indexing)."""
-        if self._lookup is None:
-            self._lookup = bytearray(self._flags.tobytes())
-        return self._lookup
 
     def count(self, x: int | None = None) -> int:
         """Number of practical numbers <= x (default: <= limit)."""

@@ -51,14 +51,3 @@ def mq_oracle(a: int, b: int, c: int, p: int) -> tuple[str, int]:
         roots = cur
     return "at_least", horizon
 
-
-def lpf_trial(n: int) -> int:
-    """Least prime factor by plain trial division (independent helper)."""
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n

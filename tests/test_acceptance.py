@@ -250,7 +250,7 @@ def test_criterion_9_density_sanity(bitmap_1e6):
         ratios.append(ratio)
     assert abs(ratios[2] - ratios[1]) < abs(ratios[1] - ratios[0])
     rng = random.Random(12)
-    members = bitmap_1e6.member_list()
+    members = bitmap_1e6.members().tolist()
     for n in rng.sample(members, 100):
         assert is_practical_oracle(n), n
     elapsed = time.perf_counter() - start

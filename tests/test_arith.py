@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from practicum import (
@@ -10,17 +9,14 @@ from practicum import (
     Factorization,
     InconsistentSystem,
     InvalidInput,
-    MemoryBudgetExceeded,
     crt_solve,
     factorize,
     prime_stream,
     primes_upto,
     sigma,
     sigma_prime_power,
-    spf_sieve,
     valuation,
 )
-from helpers import lpf_trial
 
 
 def test_factorize_examples():
@@ -148,52 +144,3 @@ def test_primes_upto_matches_stream():
         expected.append(next(it))
     assert primes_upto(1000).tolist() == expected
 
-
-def test_spf_examples():
-    spf = spf_sieve(100)
-    assert spf[9] == 3
-    assert spf[77] == 7
-    assert spf[97] == 97
-    assert spf[0] == 0 and spf[1] == 0
-
-
-def test_spf_agrees_with_factorize():
-    spf = spf_sieve(10**5)
-    for n in range(2, 10**5 + 1):
-        assert spf[n] == factorize(n).factors[0][0]
-
-
-def test_spf_correct_for_all_n_to_1e6():
-    limit = 10**6
-    spf = spf_sieve(limit).astype(np.int64)
-    ns = np.arange(limit + 1, dtype=np.int64)
-    # every entry divides its index
-    assert not np.any(ns[2:] % spf[2:])
-    # minimality: any multiple of a prime q has spf <= q ...
-    for q in primes_upto(math.isqrt(limit)):
-        assert int(spf[q::q].max()) <= q
-    # ... and each entry is its own smallest prime factor, hence prime
-    assert np.array_equal(spf[spf[2:]], spf[2:])
-    # spot-check against plain trial division as well
-    rng = random.Random(4)
-    for n in rng.sample(range(2, limit + 1), 5000):
-        assert spf[n] == lpf_trial(n)
-
-
-def test_spf_memory_budget():
-    with pytest.raises(MemoryBudgetExceeded):
-        spf_sieve(10**6, memory_budget=1000)
-    with pytest.raises(InvalidInput):
-        spf_sieve(1)
-
-
-def test_spf_segments_stitch_to_full_table():
-    from practicum import spf_segment
-
-    full = spf_sieve(49999)
-    parts = [spf_segment(2, 1000), spf_segment(1000, 30000), spf_segment(30000, 50000)]
-    assert np.array_equal(np.concatenate(parts), full[2:])
-    with pytest.raises(InvalidInput):
-        spf_segment(1, 10)
-    with pytest.raises(InvalidInput):
-        spf_segment(10, 10)

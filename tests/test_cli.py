@@ -94,6 +94,20 @@ def test_goldbach_and_triples(capsys, tmp_path, monkeypatch):
     assert data["triples"] == [4, 6, 18]
 
 
+def test_goldbach_rejects_odd_n_before_touching_cache(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(cache))
+    for n in ("3", "0", "-4"):
+        code, out, err = run_cli(capsys, "goldbach", n)
+        assert code == 2 and out == "" and "even" in err
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_quad_mq_rejects_composite_p(capsys):
+    code, out, err = run_cli(capsys, "quad", "mq", "1", "0", "3", "4")
+    assert code == 2 and out == "" and "prime" in err
+
+
 def test_palindromic_command(capsys):
     data = run_json(capsys, "palindromic", "--count", "3")
     assert data["values"] == [88, 8888, 88888888]

@@ -1,0 +1,40 @@
+"""Byte-for-byte guard on the README's CLI examples.
+
+tests/data/readme_cli_golden.json holds the stdout of every `practicum ...`
+line in the README's CLI block, captured with a fresh working directory and
+cache directory.  Refactors must leave each of them unchanged.
+"""
+
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+
+from practicum.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = json.loads((Path(__file__).parent / "data" / "readme_cli_golden.json").read_text())
+
+
+def readme_examples() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    out = []
+    for line in text.splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("practicum "):
+            out.append(shlex.split(line)[1:])
+    return out
+
+
+def test_corpus_covers_every_readme_example():
+    assert [entry["argv"] for entry in CORPUS] == readme_examples()
+    assert len(CORPUS) == 17
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=["-".join(e["argv"]) for e in CORPUS])
+def test_readme_example_stdout_is_byte_identical(entry, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(entry["argv"]) == 0
+    assert capsys.readouterr().out == entry["stdout"]

@@ -14,7 +14,7 @@ from practicum import (
     sigma,
     sieve_practicals,
 )
-from practicum.practical import MultiplierCertificate
+from practicum.practical import MultiplierCertificate, StewartWitness
 
 
 def test_verdict_examples():
@@ -57,7 +57,7 @@ def test_quick_matches_full():
 
 def test_practical_numbers_above_one_are_even():
     bm = sieve_practicals(10**5)
-    for n in bm.member_list():
+    for n in bm.members().tolist():
         assert n == 1 or n % 2 == 0
 
 
@@ -85,12 +85,59 @@ def test_replay_rejects_tampered_chain():
     assert not PracticalityVerdict(
         88, True, chain=((2, 3, 15), (17, 1, 15 * 18))
     ).replay()
+    assert not PracticalityVerdict(88, False, witness=StewartWitness(1, 5, 3)).replay()
+
+
+def test_negative_verdict_carries_practical_prefix():
+    v = is_practical(10)
+    assert v.chain == ((2, 1, 3),) and v.prefix == 2 and v.sigma == 3
+    assert is_practical(88).prefix == 88
+    v = is_practical(2**3 * 17 * 19)
+    assert v.chain == ((2, 3, 15),) and v.witness == StewartWitness(2, 17, 16)
+    assert is_practical(9).chain == () and is_practical(9).prefix == 1
+
+
+def test_replay_rejects_forged_negative_verdicts():
+    from practicum.practical import PracticalityVerdict
+
+    good = is_practical(2**3 * 17 * 19)  # prefix 8, sigma 15, fails at 17
+    assert good.replay()
+    forged = [
+        # witness index not right after the prefix
+        PracticalityVerdict(good.n, False, good.chain, StewartWitness(3, 17, 16)),
+        # bound not sigma(prefix) + 1
+        PracticalityVerdict(good.n, False, good.chain, StewartWitness(2, 19, 18)),
+        # prefix does not divide n
+        PracticalityVerdict(3 * 17, False, good.chain, StewartWitness(2, 17, 16)),
+        # witness prime does not divide n / prefix
+        PracticalityVerdict(good.n, False, good.chain, StewartWitness(2, 23, 16)),
+        # prefix chain itself broken
+        PracticalityVerdict(good.n, False, ((2, 3, 16),), StewartWitness(2, 17, 17)),
+        # no witness at all
+        PracticalityVerdict(good.n, False, good.chain),
+    ]
+    for v in forged:
+        assert not v.replay(), v
+
+
+def test_replay_rejects_non_coprime_chain():
+    from practicum.practical import PracticalityVerdict
+
+    # Repeating 2 inflates running_sigma to 81 > sigma(16) = 31, which would
+    # admit 61; 16 * 61 is not practical.
+    chain = ((2, 1, 3), (2, 1, 9), (2, 1, 27), (2, 1, 81), (61, 1, 81 * 62))
+    assert not PracticalityVerdict(16 * 61, True, chain).replay()
+    assert not is_practical(16 * 61).practical
+    # composite entries sharing a factor: 2, 4, 8 claim 135 > sigma(64) = 127
+    chain = ((2, 1, 3), (4, 1, 15), (8, 1, 135), (131, 1, 135 * 132))
+    assert not PracticalityVerdict(64 * 131, True, chain).replay()
+    assert not PracticalityVerdict(1, True, ((1, 1, 1),)).replay()
 
 
 def test_sigma_lower_bound_for_practical():
     # sigma(n) >= 2n - 1 justifies the factorization-free certificate bound
     bm = sieve_practicals(2 * 10**4)
-    for n in bm.member_list():
+    for n in bm.members().tolist():
         assert sigma(factorize(n)) >= 2 * n - 1
 
 

@@ -1,5 +1,7 @@
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 
 from practicum import (
@@ -16,7 +18,12 @@ from practicum import (
     quad_practical_stream,
     valuation,
 )
-from practicum.quadratics import FiniteWitness, InfiniteWitness
+from practicum.quadratics import (
+    FiniteWitness,
+    InfiniteWitness,
+    _roots_mod_prime,
+    _roots_mod_prime_power,
+)
 from helpers import mq_oracle
 
 
@@ -107,6 +114,51 @@ def test_mq_degenerate_discriminant():
     assert res.infinite and res.witness.kind == "double_root"
     res = mq(QuadraticPoly(3, 0, 0), 3)
     assert res.infinite and res.content_val == 1
+
+
+def test_mq_rejects_composite_p():
+    q = QuadraticPoly(1, 0, 3)
+    for p in (-3, 0, 1, 4, 9, 91, 561, 2047 * 4093):
+        with pytest.raises(InvalidInput):
+            mq(q, p)
+
+
+def _exhaustive_roots(a, b, c, modulus):
+    ns = np.arange(modulus, dtype=np.int64)
+    return np.nonzero((a * ns * ns + b * ns + c) % modulus == 0)[0].tolist()
+
+
+SMALL_GRID = list(product(range(1, 5), range(-4, 5), range(-4, 5)))
+
+
+def test_roots_mod_prime_power_matches_exhaustive_scan():
+    cap = 8
+    for p in (2, 3, 5, 7, 11, 13):
+        # the scaled copies put content divisible by p into every prime's grid
+        for a, b, c in SMALL_GRID + [(p * a, p * b, p * c) for a, b, c in SMALL_GRID]:
+            q = QuadraticPoly(a, b, c)
+            for k in (1, 2, 3):
+                got = _roots_mod_prime_power(q, p, k, cap)
+                if got is None:
+                    assert q.content % p**k == 0, (q, p, k)
+                    continue
+                assert got == _exhaustive_roots(a, b, c, p**k)[:cap], (q, p, k)
+
+
+def test_roots_mod_prime_matches_exhaustive_scan():
+    primes = [p for p in range(31, 102) if all(p % d for d in range(2, p))]
+    rng = random.Random(31)
+    for p in primes:
+        polys = SMALL_GRID + [
+            (p, 1, 2), (p, 0, 5), (p, 0, 0), (2 * p, 3 * p, p), (p * p, p, 0)
+        ] + [
+            (rng.randint(1, 10**6), rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6))
+            for _ in range(40)
+        ]
+        for a, b, c in polys:
+            assert _roots_mod_prime(QuadraticPoly(a, b, c), p) == _exhaustive_roots(
+                a, b, c, p
+            ), (a, b, c, p)
 
 
 def test_mq_content_split():

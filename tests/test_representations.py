@@ -173,7 +173,7 @@ def test_goldbach_examples():
 
 def test_goldbach_pair_is_lexicographically_smallest():
     bm = sieve_practicals(2000)
-    members = set(bm.member_list())
+    members = set(bm.members().tolist())
     for n in range(2, 2001, 2):
         p1, p2 = goldbach_pair(n, bm)
         assert p1 + p2 == n and p1 <= p2
