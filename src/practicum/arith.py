@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import BudgetExceeded, InconsistentSystem, InvalidInput
 
-# Deterministic Miller-Rabin witness set: correct for all n < 3.3 * 10^24,
-# far beyond anything the factorization budget will let through.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the first 13 primes are correct for
+# all n < psi_13 = 3317044064679887385961981 (~3.3 * 10^24; Sorenson-Webster).
+# Bases up to 37 alone pass the composite psi_12 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @dataclass(frozen=True)

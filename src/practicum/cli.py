@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from .arith import FactorBudget
@@ -58,118 +58,102 @@ from .representations import (
 )
 from .sieve import PracticalBitmap, density_report, sieve_practicals
 
-_CONFIG_KEYS = {
-    "format": str,
-    "cache-dir": str,
-    "sieve-limit": int,
-    "oracle-bound": int,
-    "scan-bound": int,
-    "trial-bound": int,
-    "factor-work": int,
+# Global flags, name -> default: each is a `--name` flag and a config-file key
+# of its default's type.  An unset flag falls back to the config file, then
+# (cache-dir only) $PRACTICUM_CACHE_DIR, then the default.
+_GLOBAL_FLAGS = {
+    "format": "json",
+    "cache-dir": str(Path.home() / ".cache" / "practicum"),
+    "sieve-limit": 10**6,
+    "oracle-bound": 10**6,
+    "scan-bound": 10**5,
+    "trial-bound": 1 << 16,
+    "factor-work": 1 << 23,
 }
 
 
-@dataclass
-class RunConfig:
-    fmt: str = "json"
-    cache_dir: Path = Path.home() / ".cache" / "practicum"
-    sieve_limit: int = 10**6
-    oracle_bound: int = 10**6
-    scan_bound: int = 10**5
-    trial_bound: int = 1 << 16
-    factor_work: int = 1 << 23
-
-    @property
-    def budget(self) -> FactorBudget:
-        return FactorBudget(trial_bound=self.trial_bound, work_limit=self.factor_work)
-
-    @classmethod
-    def build(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls()
-        env_cache = os.environ.get("PRACTICUM_CACHE_DIR")
-        if env_cache:
-            cfg.cache_dir = Path(env_cache)
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            for key, value in data.items():
-                if key not in _CONFIG_KEYS:
-                    raise PracticumError(f"unknown config key: {key}")
-                _apply(cfg, key, _CONFIG_KEYS[key](value))
-        for key in _CONFIG_KEYS:
-            flag = key.replace("-", "_")
-            value = getattr(args, flag, None)
-            if value is not None:
-                _apply(cfg, key, value)
-        for attr in ("sieve_limit", "oracle_bound", "scan_bound", "trial_bound",
-                     "factor_work"):
-            if getattr(cfg, attr) < 1:
-                raise PracticumError(f"{attr.replace('_', '-')} must be positive")
-        return cfg
-
-
-def _apply(cfg: RunConfig, key: str, value) -> None:
-    attr = {"format": "fmt", "cache-dir": "cache_dir"}.get(key, key.replace("-", "_"))
-    if attr == "cache_dir":
-        value = Path(value)
-    setattr(cfg, attr, value)
+def _resolve_globals(args: argparse.Namespace) -> None:
+    """Fill each global flag left unset on the command line, in place."""
+    config = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
+                config = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise PracticumError(f"config file {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise PracticumError(f"config file {args.config}: not a JSON object")
+    for key, value in config.items():
+        if key not in _GLOBAL_FLAGS:
+            raise PracticumError(f"unknown config key: {key}")
+        kind = type(_GLOBAL_FLAGS[key])
+        try:
+            config[key] = kind(value)
+        except (TypeError, ValueError):
+            raise PracticumError(f"config key {key}: {value!r} is not {kind.__name__}") from None
+    env_cache = os.environ.get("PRACTICUM_CACHE_DIR")
+    for name, default in _GLOBAL_FLAGS.items():
+        attr = name.replace("-", "_")
+        if getattr(args, attr) is None:
+            fallback = env_cache if name == "cache-dir" and env_cache else default
+            setattr(args, attr, config.get(name, fallback))
+        if isinstance(default, int) and getattr(args, attr) < 1:
+            raise PracticumError(f"{name} must be positive")
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers (stable key order => byte-identical reruns)
+# serialization (stable key order => byte-identical reruns)
 
 
-def _verdict_json(v: PracticalityVerdict) -> dict:
-    out = {"n": v.n, "practical": v.practical}
-    if v.practical:
-        out["chain"] = [[p, e, s] for p, e, s in v.chain]
-    else:
-        w = v.witness
-        out["witness"] = {"index": w.index, "prime": w.prime, "bound": w.bound}
-    return out
+def _json(x):
+    """JSON form of a library result: dataclass fields in declaration order,
+    tuples as lists.  Three shapes differ from that:
 
-
-def _evidence_json(ev) -> dict:
-    if isinstance(ev, MultiplierCertificate):
+    - a verdict shows `chain` when practical and `witness` when not;
+    - a certificate carries "type": "certificate" and its `value`, and its
+      base evidence carries a type tag too (see `_evidence`);
+    - an m_q witness carries `kind` and only its own pair of valuations.
+    """
+    if isinstance(x, (tuple, list)):
+        return [_json(v) for v in x]
+    if not is_dataclass(x):
+        return x
+    if isinstance(x, PracticalityVerdict):
+        return _pick(x, "n", "practical", "chain" if x.practical else "witness")
+    if isinstance(x, MultiplierCertificate):
         return {
             "type": "certificate",
-            "base": ev.base,
-            "multiplier": ev.multiplier,
-            "bound": ev.bound,
-            "bound_kind": ev.bound_kind,
-            "value": ev.value,
-            "base_evidence": _evidence_json(ev.base_evidence),
+            **_pick(x, "base", "multiplier", "bound", "bound_kind", "value"),
+            "base_evidence": _evidence(x.base_evidence),
         }
-    return {"type": "verdict", **_verdict_json(ev)}
+    if isinstance(x, FiniteWitness):
+        return {"kind": "finite", **_pick(x, "root", "empty_level")}
+    if isinstance(x, InfiniteWitness):
+        pair = ("val_q", "val_dq") if x.kind == "hensel" else ("val_lead", "val_lin")
+        return _pick(x, "kind", "root", "level", *pair)
+    return _pick(x, *(f.name for f in fields(x)))
 
 
-def _mq_witness_json(w) -> dict:
-    if isinstance(w, FiniteWitness):
-        return {"kind": "finite", "root": w.root, "empty_level": w.empty_level}
-    assert isinstance(w, InfiniteWitness)
-    out = {"kind": w.kind, "root": w.root, "level": w.level}
-    if w.kind == "hensel":
-        out["val_q"] = w.val_q
-        out["val_dq"] = w.val_dq
-    else:
-        out["val_lead"] = w.val_lead
-        out["val_lin"] = w.val_lin
-    return out
+def _pick(obj, *names: str) -> dict:
+    """The named attributes of obj, serialized, in the order given."""
+    return {name: _json(getattr(obj, name)) for name in names}
+
+
+def _evidence(ev) -> dict:
+    """Evidence that may be a verdict or a certificate, tagged with its type."""
+    return _json(ev) if isinstance(ev, MultiplierCertificate) else {"type": "verdict", **_json(ev)}
 
 
 # ---------------------------------------------------------------------------
 # sieve cache
 
 
-def _cache_path(cfg: RunConfig, limit: int) -> Path:
-    return cfg.cache_dir / f"practical-{limit}.bits"
-
-
-def _get_bitmap(cfg: RunConfig, limit: int) -> tuple[PracticalBitmap, Path]:
+def _get_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path]:
     """Load any cached bitmap covering `limit`, else sieve and cache."""
-    cfg.cache_dir.mkdir(parents=True, exist_ok=True)
+    cache_dir = Path(args.cache_dir)
+    cache_dir.mkdir(parents=True, exist_ok=True)
     best: tuple[int, Path] | None = None
-    for path in sorted(cfg.cache_dir.glob("practical-*.bits")):
+    for path in sorted(cache_dir.glob("practical-*.bits")):
         try:
             cached_limit = int(path.stem.split("-")[1])
         except (IndexError, ValueError):
@@ -182,8 +166,14 @@ def _get_bitmap(cfg: RunConfig, limit: int) -> tuple[PracticalBitmap, Path]:
         except PracticumError:
             pass  # stale or corrupt cache entry; fall through and rebuild
     bitmap = sieve_practicals(limit)
-    path = _cache_path(cfg, limit)
-    bitmap.save(path)
+    path = cache_dir / f"practical-{limit}.bits"
+    # write beside the entry, then rename: readers never see a partial file
+    tmp = cache_dir / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        bitmap.save(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only when the save failed
     return bitmap, path
 
 
@@ -191,11 +181,11 @@ def _get_bitmap(cfg: RunConfig, limit: int) -> tuple[PracticalBitmap, Path]:
 # command handlers
 
 
-def _cmd_test(args, cfg: RunConfig) -> dict:
-    verdict = is_practical(args.n, cfg.budget)
-    out = _verdict_json(verdict)
+def _cmd_test(args) -> dict:
+    verdict = is_practical(args.n, FactorBudget(args.trial_bound, args.factor_work))
+    out = _json(verdict)
     if args.verify:
-        if is_practical_oracle(args.n, cfg.oracle_bound) != verdict.practical:
+        if is_practical_oracle(args.n, args.oracle_bound) != verdict.practical:
             raise ClassificationMismatch(
                 f"structure test and subset-sum oracle disagree on {args.n}"
             )
@@ -203,147 +193,95 @@ def _cmd_test(args, cfg: RunConfig) -> dict:
     return out
 
 
-def _cmd_oracle(args, cfg: RunConfig) -> dict:
-    return {"n": args.n, "practical": is_practical_oracle(args.n, cfg.oracle_bound)}
+def _cmd_oracle(args) -> dict:
+    return {"n": args.n, "practical": is_practical_oracle(args.n, args.oracle_bound)}
 
 
-def _cmd_sieve(args, cfg: RunConfig) -> dict:
-    limit = args.limit if args.limit is not None else cfg.sieve_limit
-    bitmap, path = _get_bitmap(cfg, limit)
+def _cmd_sieve(args) -> dict:
+    limit = args.limit if args.limit is not None else args.sieve_limit
+    bitmap, path = _get_bitmap(args, limit)
     if args.out:
-        out_path = Path(args.out)
-        bitmap.save(out_path)
-        path = out_path
+        path = Path(args.out)
+        bitmap.save(path)
     return {"limit": limit, "count": bitmap.count(limit), "path": str(path)}
 
 
-def _cmd_count(args, cfg: RunConfig) -> dict:
-    checkpoints = [args.x] + (args.report or [])
-    top = max(checkpoints)
-    bitmap, _ = _get_bitmap(cfg, top)
+def _cmd_count(args) -> dict:
+    bitmap, _ = _get_bitmap(args, max([args.x] + (args.report or [])))
+    out = {"x": args.x, "count": bitmap.count(args.x)}
     if args.report:
         rows = density_report(args.report, bitmap)
-        return {
-            "x": args.x,
-            "count": bitmap.count(args.x),
-            "rows": [
-                {"x": x, "count": c, "ratio": ratio} for x, c, ratio in rows
-            ],
-        }
-    return {"x": args.x, "count": bitmap.count(args.x)}
-
-
-def _cmd_ap_classify(args, cfg: RunConfig) -> dict:
-    cls = classify_ap(args.a, args.b)
-    out = {"a": args.a, "b": args.b, "case": cls.case, "d": cls.d}
-    if cls.witness_prime is not None:
-        out["witness_prime"] = cls.witness_prime
-    if cls.unique_value is not None:
-        out["unique_value"] = cls.unique_value
+        out["rows"] = [{"x": x, "count": c, "ratio": ratio} for x, c, ratio in rows]
     return out
 
 
-def _cmd_ap_stream(args, cfg: RunConfig) -> dict:
-    values = ap_practical_stream(args.a, args.b, args.count, cfg.scan_bound)
+def _cmd_ap_classify(args) -> dict:
+    # witness_prime and unique_value are shown only for the case they explain
+    return {k: v for k, v in _json(classify_ap(args.a, args.b)).items() if v is not None}
+
+
+def _cmd_ap_stream(args) -> dict:
+    values = ap_practical_stream(args.a, args.b, args.count, args.scan_bound)
     return {"a": args.a, "b": args.b, "count": args.count, "values": values}
 
 
-def _cmd_ap_witness(args, cfg: RunConfig) -> dict:
+def _cmd_ap_witness(args) -> dict:
     w = ap_constructive_witness(args.a, args.b, args.min)
-    return {
-        "a": args.a,
-        "b": args.b,
-        "threshold": args.min,
-        "n": w.n,
-        "value": w.value,
-        "prime": w.prime,
-        "k": w.k,
-        "d": w.d,
-        "verdict": _verdict_json(w.verdict),
-    }
+    return {"a": args.a, "b": args.b, "threshold": args.min,
+            **_pick(w, "n", "value", "prime", "k", "d", "verdict")}
 
 
-def _cmd_poly_witness(args, cfg: RunConfig) -> dict:
+def _cmd_poly_witness(args) -> dict:
     coeffs = [int(c) for c in args.coeffs.split(",")]
-    w = nonpractical_witness(coeffs, args.bound)
-    return {
-        "coefficients": coeffs,
-        "n": w.n,
-        "value": w.value,
-        "verdict": _verdict_json(w.verdict),
-    }
+    return {"coefficients": coeffs, **_json(nonpractical_witness(coeffs, args.bound))}
 
 
 def _quad(args) -> QuadraticPoly:
     return QuadraticPoly(args.a, args.b, args.c)
 
 
-def _cmd_quad_mq(args, cfg: RunConfig) -> dict:
-    res = mq(_quad(args), args.p)
+def _cmd_quad_mq(args) -> dict:
+    q = _quad(args)
+    res = mq(q, args.p)
     return {
-        "poly": {"a": args.a, "b": args.b, "c": args.c},
+        "poly": _json(q),
         "p": args.p,
         "m": "infinite" if res.infinite else res.exponent,
         "content_valuation": res.content_val,
-        "witness": _mq_witness_json(res.witness),
+        "witness": _json(res.witness),
     }
 
 
-def _cmd_quad_classify(args, cfg: RunConfig) -> dict:
-    cls = classify_quadratic(_quad(args))
-    return {
-        "poly": {"a": args.a, "b": args.b, "c": args.c},
-        "case": cls.case,
-        "r": cls.r,
-        "p_r": cls.p_r,
-        "exponents": list(cls.exponents),
-        "witness_n": cls.witness_n,
-        "verdict_n": _verdict_json(cls.verdict_n),
-    }
+def _cmd_quad_classify(args) -> dict:
+    return _json(classify_quadratic(_quad(args)))
 
 
-def _cmd_quad_stream(args, cfg: RunConfig) -> dict:
-    values = quad_practical_stream(_quad(args), args.count, cfg.scan_bound)
-    return {
-        "poly": {"a": args.a, "b": args.b, "c": args.c},
-        "count": args.count,
-        "values": values,
-    }
+def _cmd_quad_stream(args) -> dict:
+    q = _quad(args)
+    values = quad_practical_stream(q, args.count, args.scan_bound)
+    return {"poly": _json(q), "count": args.count, "values": values}
 
 
-def _cmd_quad_witness(args, cfg: RunConfig) -> dict:
-    w = quad_constructive_witness(_quad(args), args.min)
-    return {
-        "poly": {"a": args.a, "b": args.b, "c": args.c},
-        "threshold": args.min,
-        "n": w.n,
-        "value": w.value,
-        "modulus": w.modulus,
-        "multiplier": w.multiplier,
-        "k": w.k,
-        "t_primes": list(w.t_primes),
-        "verdict": _verdict_json(w.verdict),
-    }
+def _cmd_quad_witness(args) -> dict:
+    q = _quad(args)
+    w = quad_constructive_witness(q, args.min)
+    return {"poly": _json(q), "threshold": args.min,
+            **_pick(w, "n", "value", "modulus", "multiplier", "k", "t_primes", "verdict")}
 
 
-def _cmd_decompose(args, cfg: RunConfig) -> dict:
+def _oracle_confirms(args, n: int) -> bool:
+    """The subset-sum oracle agrees n is practical, or n is past its bound."""
+    return n > args.oracle_bound or is_practical_oracle(n, args.oracle_bound)
+
+
+def _cmd_decompose(args) -> dict:
     d = decompose_square_plus_practical(args.n)
-    out = {
-        "n": d.n,
-        "x": d.x,
-        "practical_part": d.practical_part,
-        "m": d.m,
-        "s": d.s,
-        "certificate": _evidence_json(d.certificate),
-    }
+    out = _json(d)
     if args.verify:
         ok = (
             d.x * d.x + d.practical_part == d.n
             and d.certificate.verify()
-            and (
-                d.practical_part > cfg.oracle_bound
-                or is_practical_oracle(d.practical_part, cfg.oracle_bound)
-            )
+            and _oracle_confirms(args, d.practical_part)
         )
         if not ok:
             raise ClassificationMismatch(f"decomposition of {args.n} failed re-check")
@@ -351,17 +289,11 @@ def _cmd_decompose(args, cfg: RunConfig) -> dict:
     return out
 
 
-def _cmd_family(args, cfg: RunConfig) -> dict:
+def _cmd_family(args) -> dict:
     spec = family_spec(args.j)
     members = family_stream(args.j, args.count)
-    out = {
-        "j": args.j,
-        "residue": spec.residue,
-        "modulus": spec.modulus,
-        "congruences": [[r, m] for r, m in spec.congruences],
-        "square_exclusions": list(spec.square_exclusions),
-        "members": members,
-    }
+    out = {**_pick(spec, "j", "residue", "modulus", "congruences", "square_exclusions"),
+           "members": members}
     if args.verify:
         for m in members:
             report = verify_not_representable(m)
@@ -374,41 +306,33 @@ def _cmd_family(args, cfg: RunConfig) -> dict:
     return out
 
 
-def _cmd_goldbach(args, cfg: RunConfig) -> dict:
+def _cmd_goldbach(args) -> dict:
     if args.n < 2 or args.n % 2:  # before the bitmap cache is touched
         raise InvalidInput(f"n must be even and >= 2, got {args.n}")
-    bitmap, _ = _get_bitmap(cfg, max(args.n, 4))
+    bitmap, _ = _get_bitmap(args, max(args.n, 4))
     p1, p2 = goldbach_pair(args.n, bitmap)
     out = {"n": args.n, "pair": [p1, p2]}
     if args.verify:
-        ok = (
-            p1 + p2 == args.n
-            and (p1 > cfg.oracle_bound or is_practical_oracle(p1, cfg.oracle_bound))
-            and (p2 > cfg.oracle_bound or is_practical_oracle(p2, cfg.oracle_bound))
-        )
+        ok = p1 + p2 == args.n and _oracle_confirms(args, p1) and _oracle_confirms(args, p2)
         if not ok:
             raise ClassificationMismatch(f"pair for {args.n} failed oracle re-check")
         out["verified"] = True
     return out
 
 
-def _cmd_triples(args, cfg: RunConfig) -> dict:
-    bitmap, _ = _get_bitmap(cfg, args.limit + 2)
+def _cmd_triples(args) -> dict:
+    bitmap, _ = _get_bitmap(args, args.limit + 2)
     return {"limit": args.limit, "triples": practical_triples(args.limit, bitmap)}
 
 
-def _cmd_palindromic(args, cfg: RunConfig) -> dict:
+def _cmd_palindromic(args) -> dict:
     entries = palindromic_practicals(args.count)
     return {
         "count": args.count,
         "values": [e.value for e in entries],
         "entries": [
-            {
-                "index": e.index,
-                "value": e.value,
-                "digits": len(str(e.value)),
-                "evidence": _evidence_json(e.evidence),
-            }
+            {**_pick(e, "index", "value"), "digits": len(str(e.value)),
+             "evidence": _evidence(e.evidence)}
             for e in entries
         ],
     }
@@ -427,14 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="practicum",
         description="Practical numbers: tests, sieves, classification, representations.",
     )
-    parser.add_argument("--format", choices=("json", "csv", "plain"), default=None)
-    parser.add_argument("--cache-dir", default=None, help="sieve cache directory")
+    for name, default in _GLOBAL_FLAGS.items():
+        choices = ("json", "csv", "plain") if name == "format" else None
+        parser.add_argument(f"--{name}", type=type(default), choices=choices)
     parser.add_argument("--config", default=None, help="JSON config file (key = flag name)")
-    parser.add_argument("--sieve-limit", type=int, default=None)
-    parser.add_argument("--oracle-bound", type=int, default=None)
-    parser.add_argument("--scan-bound", type=int, default=None)
-    parser.add_argument("--trial-bound", type=int, default=None)
-    parser.add_argument("--factor-work", type=int, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -552,16 +472,14 @@ def emit(payload: dict, fmt: str, out=None) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2), file=out)
     elif fmt == "csv":
+        # a report's rows form the table; any other payload is one row
         rows = payload.get("rows")
-        if isinstance(rows, list) and rows and isinstance(rows[0], dict):
-            keys = list(rows[0].keys())
-            print(",".join(keys), file=out)
-            for row in rows:
-                print(",".join(_flatten_cell(row[k]) for k in keys), file=out)
-        else:
-            keys = list(payload.keys())
-            print(",".join(keys), file=out)
-            print(",".join(_flatten_cell(payload[k]) for k in keys), file=out)
+        if not (isinstance(rows, list) and rows and isinstance(rows[0], dict)):
+            rows = [payload]
+        keys = list(rows[0].keys())
+        print(",".join(keys), file=out)
+        for row in rows:
+            print(",".join(_flatten_cell(row[k]) for k in keys), file=out)
     elif fmt == "plain":
         for key, value in payload.items():
             print(f"{key} = {_flatten_cell(value)}", file=out)
@@ -570,12 +488,14 @@ def emit(payload: dict, fmt: str, out=None) -> None:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # integers with thousands of digits, in and out
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.build(args)
-        payload = args.func(args, cfg)
-        emit(payload, cfg.fmt)
+        _resolve_globals(args)
+        payload = args.func(args)
+        emit(payload, args.format)
         return 0
     except FalsificationSignal as exc:
         print(f"FALSIFICATION: {exc}", file=sys.stderr)

@@ -137,7 +137,37 @@ def test_count_report(capsys, tmp_path, monkeypatch):
     assert data["rows"][0]["x"] == 10
 
 
-def test_output_formats_and_determinism(capsys):
+def test_cache_write_is_atomic(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(cache))
+
+    def failing_save(self, path):
+        with open(path, "wb") as fh:
+            fh.write(b"PRAC")  # part of a header, then the disk fills up
+        raise OSError("no space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(PracticalBitmap, "save", failing_save)
+        code, out, err = run_cli(capsys, "count", "100")
+    assert code == 2 and out == "" and "no space" in err
+    assert list(cache.iterdir()) == []
+
+    data = run_json(capsys, "sieve", "--limit", "500")
+    assert [p.name for p in cache.iterdir()] == ["practical-500.bits"]
+    assert data["path"] == str(cache / "practical-500.bits")
+
+
+def test_integers_beyond_the_str_digit_limit(capsys):
+    # 10^4335 has 4336 digits; the palindromic chain's 13th value has 8192
+    s2, s5 = 2**4336 - 1, (5**4336 - 1) // 4
+    data = run_json(capsys, "test", "1" + "0" * 4335)
+    assert data["chain"] == [[2, 4335, s2], [5, 4335, s2 * s5]]
+    data = run_json(capsys, "palindromic", "--count", "13")
+    assert data["entries"][-1]["digits"] == 8192
+
+
+def test_output_formats_and_determinism(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path))
     code1, out1, _ = run_cli(capsys, "test", "88")
     code2, out2, _ = run_cli(capsys, "test", "88")
     assert code1 == code2 == 0 and out1 == out2
@@ -153,7 +183,7 @@ def test_output_formats_and_determinism(capsys):
     assert lines[1] == "12,2,exactly_one,2,2"
 
 
-def test_config_file(capsys, tmp_path):
+def test_config_file(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"format": "plain", "cache-dir": str(tmp_path)}))
     code, out, _ = run_cli(capsys, "--config", str(cfg), "oracle", "6")
@@ -163,10 +193,39 @@ def test_config_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--config", str(cfg), "--format", "json", "oracle", "6")
     assert json.loads(out)["practical"] is True
 
+    # cache directory: flag > config file > PRACTICUM_CACHE_DIR
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path / "env"))
+    cfg.write_text(json.dumps({"cache-dir": str(tmp_path / "file")}))
+    run_json(capsys, "--config", str(cfg), "count", "10")
+    run_json(capsys, "--config", str(cfg), "--cache-dir", str(tmp_path / "flag"), "count", "10")
+    assert (tmp_path / "file" / "practical-10.bits").exists()
+    assert (tmp_path / "flag" / "practical-10.bits").exists()
+    assert not (tmp_path / "env").exists()
+
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no-such-key": 1}))
     code, _, err = run_cli(capsys, "--config", str(bad), "oracle", "6")
     assert code == 2 and "no-such-key" in err
+
+
+def test_bad_config_values_exit_2(capsys, tmp_path):
+    cases = {
+        '{"sieve-limit": "abc"}': "sieve-limit",
+        '{"oracle-bound": null}': "oracle-bound",
+        '{"format": "json",': "config file",
+        '[["format", "plain"]]': "JSON object",
+        '{"scan-bound": 0}': "scan-bound must be positive",
+    }
+    cfg = tmp_path / "cfg.json"
+    for text, message in cases.items():
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "oracle", "6")
+        assert (code, out) == (2, ""), text
+        assert message in err and "Traceback" not in err, text
+    # a config value takes its flag's type
+    cfg.write_text('{"oracle-bound": "100"}')
+    code, _, err = run_cli(capsys, "--config", str(cfg), "oracle", "101")
+    assert code == 2 and "101" in err
 
 
 def test_exit_codes(capsys):

@@ -134,6 +134,15 @@ def test_replay_rejects_non_coprime_chain():
     assert not PracticalityVerdict(1, True, ((1, 1, 1),)).replay()
 
 
+def test_strong_pseudoprime_psi12_is_not_taken_for_a_prime():
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every base
+    # up to 37; read as a prime it fails 2^38's bound and the verdict flips.
+    n = 2**38 * 399165290221 * 798330580441
+    v = is_practical(n)
+    assert v.practical and v.replay()
+    assert [p for p, _, _ in v.chain] == [2, 399165290221, 798330580441]
+
+
 def test_sigma_lower_bound_for_practical():
     # sigma(n) >= 2n - 1 justifies the factorization-free certificate bound
     bm = sieve_practicals(2 * 10**4)
