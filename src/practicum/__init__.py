@@ -1,10 +1,10 @@
 """practicum: practical numbers as a library.
 
-Certified practicality tests, a segmented sieve with persistent bitmaps,
-classification of linear and quadratic polynomials by whether they hit
-infinitely many practical numbers (with constructive witnesses), and
-additive representation checks (square + practical, practical pairs and
-triples, palindromic chains).
+Certified practicality tests, enumeration and counting by a walk of the
+practical-number tree (with persistent bitmaps), classification of linear
+and quadratic polynomials by whether they hit infinitely many practical
+numbers (with constructive witnesses), and additive representation checks
+(square + practical, practical pairs and triples, palindromic chains).
 """
 
 from .arith import (

@@ -70,6 +70,7 @@ _GLOBAL_FLAGS = {
     "trial-bound": 1 << 16,
     "factor-work": 1 << 23,
 }
+_FORMATS = ("json", "csv", "plain")
 
 
 def _resolve_globals(args: argparse.Namespace) -> None:
@@ -99,6 +100,8 @@ def _resolve_globals(args: argparse.Namespace) -> None:
             setattr(args, attr, config.get(name, fallback))
         if isinstance(default, int) and getattr(args, attr) < 1:
             raise PracticumError(f"{name} must be positive")
+    if args.format not in _FORMATS:  # a config-file value skips argparse's choices
+        raise PracticumError(f"unknown output format: {args.format}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +166,12 @@ def _get_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path]:
     if best is not None:
         try:
             return PracticalBitmap.load(best[1]), best[1]
-        except PracticumError:
-            pass  # stale or corrupt cache entry; fall through and rebuild
+        except PracticumError as exc:
+            import logging  # only here: imports dominate the CLI's start-up time
+
+            logging.getLogger("practicum").warning(
+                "ignoring corrupt cache entry %s (%s); rebuilding", best[1], exc
+            )
     bitmap = sieve_practicals(limit)
     path = cache_dir / f"practical-{limit}.bits"
     # write beside the entry, then rename: readers never see a partial file
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Practical numbers: tests, sieves, classification, representations.",
     )
     for name, default in _GLOBAL_FLAGS.items():
-        choices = ("json", "csv", "plain") if name == "format" else None
+        choices = _FORMATS if name == "format" else None
         parser.add_argument(f"--{name}", type=type(default), choices=choices)
     parser.add_argument("--config", default=None, help="JSON config file (key = flag name)")
 

@@ -1,10 +1,12 @@
 """Bulk enumeration of practical numbers.
 
-Segmented sieve: each segment factors its numbers by striking base primes
-in increasing order, which lets the structure test run incrementally (the
-divisor-sum of the already-extracted prefix is at hand exactly when the
-next prime factor shows up).  Segments are independent, so construction
-order cannot change the result.
+Tree walk, no sieve: by the structure theorem every prefix of a practical
+number's ordered factorization is practical, so the practical numbers
+<= limit form a tree rooted at 1.  The children of a node n, with divisor
+sum s and largest prime p, are n*q^e for primes q > p with q <= s + 1.  A
+child n*q with q > isqrt(limit // n) has no children and no q^2 multiple
+under the limit, so each node's leaves are one slice of the prime table:
+counted by its length, set by one numpy scatter.  Counts need no bitmap.
 
 The bitmap persists as a 16-byte header (magic "PRAC", version u32 LE,
 limit u64 LE) followed by a little-endian bit array over 0..limit.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,6 @@ MAGIC = b"PRAC"
 VERSION = 1
 _HEADER = struct.Struct("<4sIQ")
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
 DEFAULT_MEMORY_BUDGET = 1 << 31  # bytes for the bitmap's bool array
 
 
@@ -90,73 +92,75 @@ class PracticalBitmap:
         return cls(flags)
 
 
-def _segment_flags(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Practicality flags for [lo, hi); requires lo >= 1 and the base primes
-    to cover isqrt(hi - 1)."""
-    size = hi - lo
-    remaining = np.arange(lo, hi, dtype=np.int64)
-    sig = np.ones(size, dtype=np.int64)
-    alive = np.ones(size, dtype=bool)
-    for p in base_primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        first = ((lo + p - 1) // p) * p
-        idx = np.arange(first - lo, size, p, dtype=np.int64)
-        if idx.size == 0:
-            continue
-        # chain condition: p <= sigma(prefix of smaller primes) + 1
-        alive[idx] &= sig[idx] >= p - 1
-        rem = remaining[idx] // p
-        t = np.full(idx.size, p + 1, dtype=np.int64)
-        pk = p
-        while True:
-            div = rem % p == 0
-            if not div.any():
-                break
-            pk *= p
-            rem[div] //= p
-            t[div] += pk
-        remaining[idx] = rem
-        sig[idx] *= t
-    big = remaining > 1  # a single prime factor above the segment's sqrt
-    alive[big] &= remaining[big] <= sig[big] + 1
-    return alive
+def _initial_prime_bound(limit: int) -> int:
+    """Start of the prime table.  A node n needs primes up to min(sigma(n) + 1,
+    limit // n) <= sqrt(limit * (sigma(n)/n + 1)), and sigma(n)/n < 7 for
+    n < 1.9 * 10^24 (OEIS A023199); the walk extends a short table."""
+    return math.isqrt(8 * limit) + 2
+
+
+def _tree_walk(limit: int, on_node, on_leaves) -> None:
+    """Visit every practical number <= limit once, from an explicit stack of
+    (n, sigma(n), table index of n's largest prime): on_node(n) for each
+    node, on_leaves(n, primes, i, j) for its leaves n * primes[i:j]."""
+    primes = primes_upto(_initial_prime_bound(limit))
+    table = primes.tolist()
+    stack = [(1, 1, -1)]
+    while stack:
+        n, s, last = stack.pop()
+        on_node(n)
+        top = limit // n
+        hi = min(s + 1, top)
+        if hi > table[-1]:
+            primes = primes_upto(2 * hi)
+            table = primes.tolist()
+        mid = bisect_right(table, min(math.isqrt(top), hi), last + 1)
+        for i in range(last + 1, mid):
+            q = table[i]
+            m, t = n * q, q + 1  # t = sigma(q^e)
+            while m <= limit:
+                stack.append((m, s * t, i))
+                m, t = m * q, t * q + 1
+        end = bisect_right(table, hi, mid)
+        if end > mid:
+            on_leaves(n, primes, mid, end)
 
 
 def sieve_practicals(
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
+    limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET
 ) -> PracticalBitmap:
-    """Bitmap of practical numbers on [1, limit].
-
-    Memory stays bounded by the output array plus O(segment_size) work
-    arrays regardless of limit.
-    """
+    """Bitmap of practical numbers on [1, limit]: one scatter per leaf slice
+    of the tree walk, then one for its nodes."""
     if limit < 1:
         raise InvalidInput(f"sieve limit must be >= 1, got {limit}")
-    if segment_size < 8:
-        raise InvalidInput(f"segment size too small: {segment_size}")
     if limit + 1 > memory_budget:
-        raise MemoryBudgetExceeded(
-            f"bitmap for limit {limit} exceeds {memory_budget} bytes"
-        )
+        raise MemoryBudgetExceeded(f"bitmap for limit {limit} exceeds {memory_budget} bytes")
     flags = np.zeros(limit + 1, dtype=bool)
-    base = primes_upto(math.isqrt(limit))
-    lo = 1
-    while lo <= limit:
-        hi = min(lo + segment_size, limit + 1)
-        flags[lo:hi] = _segment_flags(lo, hi, base)
-        lo = hi
+    nodes: list[int] = []
+
+    def leaves(n, primes, i, j):
+        flags[n * primes[i:j]] = True
+
+    _tree_walk(limit, nodes.append, leaves)
+    flags[nodes] = True
     return PracticalBitmap(flags)
 
 
 def count_practicals(x: int, bitmap: PracticalBitmap | None = None) -> int:
-    """Exact count of practical numbers <= x."""
-    if bitmap is None:
-        bitmap = sieve_practicals(x)
-    return bitmap.count(x)
+    """Exact count of practical numbers <= x; without a bitmap, the tree's
+    node count plus its leaf slice lengths."""
+    if bitmap is not None:
+        return bitmap.count(x)
+    if x < 1:
+        raise InvalidInput(f"count bound must be >= 1, got {x}")
+    total = 0
+
+    def add(k):
+        nonlocal total
+        total += k
+
+    _tree_walk(x, lambda _n: add(1), lambda _n, _primes, i, j: add(j - i))
+    return total
 
 
 def density_report(
@@ -171,12 +175,7 @@ def density_report(
         return []
     if any(x < 1 for x in checkpoints):
         raise InvalidInput("checkpoints must be >= 1")
-    top = max(checkpoints)
-    if bitmap is None or bitmap.limit < top:
-        bitmap = sieve_practicals(top)
-    rows = []
-    for x in checkpoints:
-        c = bitmap.count(x)
-        ratio = c * math.log(x) / x if x > 1 else 0.0
-        rows.append((x, c, ratio))
-    return rows
+    # without a bitmap reaching every checkpoint, each count is a tree count
+    bitmap = bitmap if bitmap is not None and bitmap.limit >= max(checkpoints) else None
+    counts = [(x, count_practicals(x, bitmap)) for x in checkpoints]
+    return [(x, c, c * math.log(x) / x if x > 1 else 0.0) for x, c in counts]

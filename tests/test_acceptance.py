@@ -17,6 +17,7 @@ from practicum import (
     ap_practical_stream,
     classify_ap,
     classify_quadratic,
+    count_practicals,
     decompose_square_plus_practical,
     family_member,
     family_stream,
@@ -36,6 +37,8 @@ from helpers import mq_oracle
 
 # computed once by the sieve and frozen; spot-checked by the oracle below
 PRACTICAL_COUNT_1E6 = 97385
+# frozen after the segmented sieve and the tree walk agreed on it
+PRACTICAL_COUNT_1E7 = 829157
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +260,15 @@ def test_criterion_9_density_sanity(bitmap_1e6):
     print(f"\nACCEPTANCE 9: PASS - P(1e6) = {PRACTICAL_COUNT_1E6} (frozen, "
           f"100 members oracle-checked); ratios {[round(r, 4) for r in ratios]} "
           f"in [1.0, 1.6] with shrinking spread, {elapsed:.1f}s")
+
+
+def test_criterion_9_frozen_count_1e7():
+    start = time.perf_counter()
+    assert count_practicals(10**7) == PRACTICAL_COUNT_1E7
+    assert sieve_practicals(10**7).count() == PRACTICAL_COUNT_1E7
+    elapsed = time.perf_counter() - start
+    print(f"\nACCEPTANCE 9: PASS - P(1e7) = {PRACTICAL_COUNT_1E7} (frozen), "
+          f"tree count == tree bitmap, {elapsed:.1f}s")
 
 
 def test_criterion_10_polynomial_witnesses():

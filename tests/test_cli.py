@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -157,6 +158,22 @@ def test_cache_write_is_atomic(capsys, tmp_path, monkeypatch):
     assert data["path"] == str(cache / "practical-500.bits")
 
 
+def test_corrupt_cache_entry_is_logged_and_rebuilt(capsys, caplog, tmp_path, monkeypatch):
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path / "clean"))
+    clean = run_cli(capsys, "count", "500")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    corrupt = cache / "practical-1000.bits"
+    corrupt.write_bytes(b"NOPE" + bytes(200))
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(cache))
+    with caplog.at_level(logging.WARNING, logger="practicum"):
+        assert run_cli(capsys, "count", "500") == clean  # stdout, stderr and exit code
+    [record] = caplog.records
+    assert record.name == "practicum" and record.levelno == logging.WARNING
+    assert str(corrupt) in record.getMessage()
+    assert (cache / "practical-500.bits").exists()
+
+
 def test_integers_beyond_the_str_digit_limit(capsys):
     # 10^4335 has 4336 digits; the palindromic chain's 13th value has 8192
     s2, s5 = 2**4336 - 1, (5**4336 - 1) // 4
@@ -226,6 +243,15 @@ def test_bad_config_values_exit_2(capsys, tmp_path):
     cfg.write_text('{"oracle-bound": "100"}')
     code, _, err = run_cli(capsys, "--config", str(cfg), "oracle", "101")
     assert code == 2 and "101" in err
+
+
+def test_config_format_is_rejected_before_the_command_runs(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cache = tmp_path / "cache"
+    cfg.write_text(json.dumps({"format": "xml", "cache-dir": str(cache)}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "sieve", "--limit", "1000")
+    assert (code, out) == (2, "") and "unknown output format: xml" in err
+    assert not cache.exists() or list(cache.iterdir()) == []
 
 
 def test_exit_codes(capsys):

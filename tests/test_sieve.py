@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from practicum import arith, sieve
 from practicum import (
     InvalidInput,
     MemoryBudgetExceeded,
@@ -47,11 +50,48 @@ def test_sieve_agrees_with_structure_test():
         assert (n in big) == is_practical(n).practical, n
 
 
-def test_segment_size_invariance():
+def test_tree_bitmap_agrees_with_structure_test():
+    small = sieve_practicals(2 * 10**4)
+    for n in range(1, 2 * 10**4 + 1):
+        assert (n in small) == is_practical(n).practical, n
+    big = sieve_practicals(10**7)
+    rng = random.Random(7)
+    for n in rng.sample(range(1, 10**7 + 1), 3000):
+        assert (n in big) == is_practical(n).practical, n
+
+
+def test_tree_count_agrees_with_bitmap_count():
+    X = 2 * 10**5
+    bm = sieve_practicals(X)
+    rng = random.Random(8)
+    xs = list(range(1, 300)) + rng.sample(range(300, X + 1), 300) + [X]
+    for x in xs:
+        assert count_practicals(x) == bm.count(x), x
+
+
+def test_prime_table_extends_at_run_time(monkeypatch):
     reference = sieve_practicals(10**5)
-    for seg in (101, 1000, 32768):
-        assert np.array_equal(sieve_practicals(10**5, segment_size=seg).flags,
-                              reference.flags)
+    reference_counts = [count_practicals(x) for x in (10, 999, 10**5)]
+    bounds = []
+
+    def primes_upto(limit):
+        bounds.append(limit)
+        return arith.primes_upto(limit)
+
+    monkeypatch.setattr(sieve, "_initial_prime_bound", lambda limit: 2)
+    monkeypatch.setattr(sieve, "primes_upto", primes_upto)
+    assert np.array_equal(sieve_practicals(10**5).flags, reference.flags)
+    assert len(bounds) > 1 and bounds[0] == 2  # the table grew during the walk
+    assert [count_practicals(x) for x in (10, 999, 10**5)] == reference_counts
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(min_value=1, max_value=3 * 10**5), data=st.data())
+def test_tree_count_and_fill_agree_with_structure_test(N, data):
+    bm = sieve_practicals(N)
+    assert count_practicals(N) == bm.count()
+    for n in data.draw(st.lists(st.integers(1, N), max_size=40)):
+        assert (n in bm) == is_practical(n).practical, n
 
 
 def test_membership_range_checks():
