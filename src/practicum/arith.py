@@ -2,9 +2,11 @@
 
 Factorization (trial division + Pollard-Brent behind an explicit work
 budget), divisor sums, p-adic valuations, a CRT solver that accepts
-non-coprime moduli, a gap-free prime stream and a numpy prime table.
-Everything here works on arbitrary-precision ints; only the prime table is
-restricted to machine-word sizes.
+non-coprime moduli and the two ways primes are produced: prime_stream walks
+2, 3, 4, ... through the primality test _is_prime (Miller-Rabin, proven
+below psi_13 ~ 3.3 * 10^24, Baillie-PSW above), and primes_upto sieves a
+numpy prime table.  Everything here works on arbitrary-precision ints; only
+the prime table is restricted to machine-word sizes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -20,8 +23,10 @@ from .errors import BudgetExceeded, InconsistentSystem, InvalidInput
 
 # Deterministic Miller-Rabin witness set: the first 13 primes are correct for
 # all n < psi_13 = 3317044064679887385961981 (~3.3 * 10^24; Sorenson-Webster).
-# Bases up to 37 alone pass the composite psi_12 = 399165290221 * 798330580441.
+# Bases up to 37 alone pass the composite psi_12 = 399165290221 * 798330580441,
+# and psi_13 = 1287836182261 * 2575672364521 itself passes all 13.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,12 @@ def valuation(n: int, p: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the sizes the budget admits."""
+    """Primality by Miller-Rabin to the bases 2..41, a proof for n < psi_13.
+
+    From psi_13 on, n must also pass a strong Lucas test with Selfridge's
+    parameters, which with the base-2 round makes a Baillie-PSW test: no
+    composite is known to pass it, but none is proven not to.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -116,7 +126,56 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 41 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D) / 4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would ever qualify
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:
+        return False  # |D| < n shares a factor with n
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+
+    def half(x: int) -> int:
+        return (x + n if x & 1 else x) // 2 % n
+
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1 (P = 1)
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 class _WorkMeter:
@@ -247,21 +306,8 @@ def crt_solve(system: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 
 def prime_stream() -> Iterator[int]:
-    """Yield 2, 3, 5, 7, ... without end (incremental odd-only sieve)."""
-    yield 2
-    composites: dict[int, int] = {}
-    n = 3
-    while True:
-        step = composites.pop(n, None)
-        if step is None:
-            yield n
-            composites[n * n] = 2 * n
-        else:
-            nxt = n + step
-            while nxt in composites:
-                nxt += step
-            composites[nxt] = step
-        n += 2
+    """2, 3, 5, 7, ... without end: the integers from 2 that pass _is_prime."""
+    return filter(_is_prime, count(2))
 
 
 def primes_upto(limit: int) -> np.ndarray:

@@ -239,8 +239,8 @@ def _cmd_ap_witness(args) -> dict:
 
 
 def _cmd_poly_witness(args) -> dict:
-    coeffs = [int(c) for c in args.coeffs.split(",")]
-    return {"coefficients": coeffs, **_json(nonpractical_witness(coeffs, args.bound))}
+    w = nonpractical_witness(args.coeffs, args.bound)
+    return {"coefficients": args.coeffs, **_json(w)}
 
 
 def _quad(args) -> QuadraticPoly:
@@ -353,6 +353,15 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
+def _coeff_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="practicum",
@@ -406,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     poly_parser = sub.add_parser("poly", help="integer polynomials")
     poly_sub = poly_parser.add_subparsers(dest="poly_command", required=True)
     p = poly_sub.add_parser("witness", help="smallest n with P(n) >= 1 not practical")
-    p.add_argument("coeffs", help="comma-separated coefficients, constant term first")
+    p.add_argument("coeffs", type=_coeff_list,
+                   help="comma-separated coefficients, constant term first")
     p.add_argument("--bound", type=int, default=10**4)
     p.set_defaults(func=_cmd_poly_witness)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import Factorization, factorize, prime_stream, sigma
+from .arith import Factorization, factorize, sigma
 from .errors import (
     ClassificationMismatch,
     InvalidInput,
@@ -81,8 +81,9 @@ def largest_practical_divisor(g: int) -> int:
 def classify_ap(a: int, b: int) -> APClassification:
     """Decide the trichotomy for a*n + b.
 
-    Both coefficients must be positive; the decision procedure streams
-    primes up to sigma(d) + 1 and stops at the first one missing a/d.
+    Both coefficients must be positive.  The least m >= 2 coprime to a/d is
+    the least prime missing a/d, since each prime factor of m is at most m
+    and coprime to a/d; the case is infinite when m <= sigma(d) + 1.
     """
     if a < 1 or b < 1:
         raise InvalidInput(f"classify_ap requires positive a, b; got ({a}, {b})")
@@ -90,11 +91,11 @@ def classify_ap(a: int, b: int) -> APClassification:
     d = verdict.prefix  # the largest practical divisor of gcd(a, b)
     bound = verdict.sigma + 1
     a1 = a // d
-    for p in prime_stream():
-        if p > bound:
-            break
-        if a1 % p:
-            return APClassification(a, b, INFINITELY_MANY, d, witness_prime=p)
+    m = 2
+    while m <= bound and math.gcd(m, a1) > 1:
+        m += 1
+    if m <= bound:
+        return APClassification(a, b, INFINITELY_MANY, d, witness_prime=m)
     if is_practical_quick(b):
         return APClassification(a, b, EXACTLY_ONE, d, unique_value=b)
     return APClassification(a, b, NONE, d)

@@ -231,41 +231,42 @@ def mq(q: QuadraticPoly, p: int) -> MqResult:
     return MqResult(p=p, exponent=v + exponent, content_val=v, witness=witness)
 
 
-def least_infinite_prime(
-    q: QuadraticPoly, prime_cap: int = DEFAULT_PRIME_CAP
-) -> tuple[int, int, tuple[int, ...]]:
-    """(r, p_r, m_q at the earlier primes) for the least p_r with infinite m_q.
-
-    Some prime always qualifies; running past prime_cap primes raises
-    IterationCap and should be treated as a failure, not an outcome.
-    """
-    exponents: list[int] = []
-    for i, p in enumerate(islice(prime_stream(), prime_cap)):
-        res = mq(q, p)
-        if res.infinite:
-            return i + 1, p, tuple(exponents)
-        exponents.append(res.exponent)
+def _mq_walk(q: QuadraticPoly, prime_cap: int = DEFAULT_PRIME_CAP) -> list[MqResult]:
+    """m_q at 2, 3, 5, ... up to and including the least prime with infinite
+    m_q.  Some prime always qualifies; running past prime_cap primes raises
+    IterationCap and should be treated as a failure, not an outcome."""
+    walk = []
+    for p in islice(prime_stream(), prime_cap):
+        walk.append(mq(q, p))
+        if walk[-1].infinite:
+            return walk
     raise IterationCap(
         f"no prime with infinite m_q among the first {prime_cap} primes for {q}"
     )
 
 
+def least_infinite_prime(
+    q: QuadraticPoly, prime_cap: int = DEFAULT_PRIME_CAP
+) -> tuple[int, int, tuple[int, ...]]:
+    """(r, p_r, m_q at the earlier primes) for the least p_r with infinite m_q."""
+    walk = _mq_walk(q, prime_cap)
+    return len(walk), walk[-1].p, tuple(res.exponent for res in walk[:-1])
+
+
 def classify_quadratic(q: QuadraticPoly) -> QuadClassification:
     """Infinitely many practical values of q, or finitely many, decided by
     the practicality of p_1^m1 ... p_{r-1}^m{r-1} p_r."""
-    r, p_r, exponents = least_infinite_prime(q)
-    primes = list(islice(prime_stream(), r))
-    n = p_r
-    for p, e in zip(primes, exponents):
-        n *= p**e
+    walk = _mq_walk(q)
+    p_r = walk[-1].p
+    n = p_r * math.prod(res.p**res.exponent for res in walk[:-1])
     verdict = is_practical(n)
     case = INFINITELY_MANY if verdict.practical else FINITELY_MANY
     return QuadClassification(
         poly=q,
         case=case,
-        r=r,
+        r=len(walk),
         p_r=p_r,
-        exponents=exponents,
+        exponents=tuple(res.exponent for res in walk[:-1]),
         witness_n=n,
         verdict_n=verdict,
     )
@@ -423,8 +424,8 @@ def quad_constructive_witness(
         raise InvalidInput(
             f"{q} is classified {cls.case}; no practical value construction"
         )
-    primes = list(islice(prime_stream(), cls.r))
-    prefix = [(p, e) for p, e in zip(primes[:-1], cls.exponents) if e >= 1]
+    # verdict_n is practical: its chain factors witness_n and ends in p_r^1
+    prefix = [(p, e) for p, e, _ in cls.verdict_n.chain[:-1]]
     p_r = cls.p_r
     k = 1
     while p_r**k <= threshold:
@@ -434,10 +435,8 @@ def quad_constructive_witness(
     t_list: list[int] = []
     for round_no in range(max_rounds):
         factors = sorted(prefix + [(p_r, k)] + [(t, 1) for t in t_list])
-        divisor = 1
-        for p, e in factors:
-            divisor *= p**e
         mod_verdict = practical_from_factorization(Factorization(tuple(factors)))
+        divisor = mod_verdict.n
         options: list[list[tuple[int, int]]] = []
         solvable = True
         for p, e in factors:

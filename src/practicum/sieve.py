@@ -168,8 +168,9 @@ def density_report(
 ) -> list[tuple[int, int, float]]:
     """Rows (x, count, count * ln(x) / x) for each checkpoint.
 
-    The first two columns are exact; the ratio tracks the linear-over-log
-    growth of the count empirically (no constant is asserted).
+    The first two columns are exact.  The ratio tends to Weingartner's
+    constant c ~ 1.336, since P(x) ~ c * x / log x, but slowly; the report
+    shows it and asserts no value.
     """
     if not checkpoints:
         return []

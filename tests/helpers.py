@@ -7,11 +7,18 @@ enumeration, exhaustive lifting) and never use the library's shortcuts
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 ORACLE_LEVEL_FLOOR = 8
 ORACLE_MODULUS_CAP = 10**7
 FULL_RANGE_CAP = 10**4
+
+
+def is_prime_trial(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 def mq_oracle_horizon(p: int) -> int:

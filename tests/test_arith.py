@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from practicum import arith
 from practicum import (
     BudgetExceeded,
     FactorBudget,
@@ -17,6 +18,7 @@ from practicum import (
     sigma_prime_power,
     valuation,
 )
+from helpers import is_prime_trial
 
 
 def test_factorize_examples():
@@ -140,7 +142,34 @@ def test_prime_stream():
 def test_primes_upto_matches_stream():
     it = prime_stream()
     expected = []
-    while len(expected) < 168:
+    while len(expected) < 1229:
         expected.append(next(it))
-    assert primes_upto(1000).tolist() == expected
+    assert primes_upto(10**4).tolist() == expected
+    assert expected == [n for n in range(2, 10**4) if is_prime_trial(n)]
+
+
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_primality_past_the_miller_rabin_proven_range():
+    # psi_13 passes Miller-Rabin to every base 2..41; the strong Lucas test
+    # applied from psi_13 on rejects it
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not arith._is_prime(PSI_13)
+    assert arith._is_prime(2**89 - 1)
+    assert arith._is_prime(2**127 - 1)
+    assert not arith._is_prime((2**61 - 1) * (2**89 - 1))
+    assert not arith._is_prime((2**89 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    # the odd composites below 10^5 that pass the Selfridge strong Lucas test
+    # (OEIS A217255); below psi_13 only Miller-Rabin decides
+    passing = [
+        n for n in range(43, 10**5, 2)
+        if arith._strong_lucas(n) and not arith._is_prime(n)
+    ]
+    assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                       40309, 58519, 75077, 97439]
+    assert all(arith._strong_lucas(p) for p in primes_upto(10**5).tolist() if p > 41)
 

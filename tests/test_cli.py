@@ -259,6 +259,10 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    for coeffs in ("1,,2", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "witness", coeffs])
+        assert exc.value.code == 2
 
     # budget errors: exit 2
     big = str((2**61 - 1) * (2**89 - 1))

@@ -143,6 +143,15 @@ def test_strong_pseudoprime_psi12_is_not_taken_for_a_prime():
     assert [p for p, _, _ in v.chain] == [2, 399165290221, 798330580441]
 
 
+def test_strong_pseudoprime_psi13_is_not_taken_for_a_prime():
+    # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to every base
+    # up to 41; read as a prime it fails 2^42's bound and the verdict flips.
+    n = 2**42 * 1287836182261 * 2575672364521
+    v = is_practical(n)
+    assert v.practical and v.replay()
+    assert [p for p, _, _ in v.chain] == [2, 1287836182261, 2575672364521]
+
+
 def test_sigma_lower_bound_for_practical():
     # sigma(n) >= 2n - 1 justifies the factorization-free certificate bound
     bm = sieve_practicals(2 * 10**4)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from practicum import (
     ClassificationMismatch,
@@ -17,6 +19,7 @@ from practicum import (
     largest_practical_divisor,
     nonpractical_witness,
 )
+from helpers import is_prime_trial
 
 
 def _divisors(n):
@@ -61,6 +64,32 @@ def test_classify_examples():
     cls = classify_ap(12, 10)
     assert cls.case == "none"
     assert cls.d == 2 and cls.unique_value is None
+
+
+_SMALL_PRIMES = [p for p in range(2, 102) if is_prime_trial(p)]
+_PRIMORIALS = [math.prod(_SMALL_PRIMES[:k]) for k in range(len(_SMALL_PRIMES) + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_classify_witness_prime_is_least_prime_missing_a_over_d(data):
+    # a = m * primorial makes a/d divisible by a long run of small primes, so
+    # the walk to the least prime missing it runs long
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(1, 10**6))
+        b = data.draw(st.integers(1, 10**6))
+    else:
+        m = data.draw(st.integers(1, 2**12))
+        a = m * data.draw(st.sampled_from(_PRIMORIALS))
+        b = m * data.draw(st.integers(1, 10**3))
+    cls = classify_ap(a, b)
+    d = cls.d
+    bound = sum(_divisors(d)) + 1
+    expected = next(
+        (p for p in range(2, bound + 1) if is_prime_trial(p) and (a // d) % p), None
+    )
+    assert cls.witness_prime == expected, (a, b)
+    assert (cls.case == "infinitely_many") == (expected is not None)
 
 
 def test_classify_rejects_nonpositive():
