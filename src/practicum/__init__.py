@@ -85,11 +85,22 @@ from .representations import (
     sqrt_mod_power_of_two,
     verify_not_representable,
 )
-from .sieve import (
-    PracticalBitmap,
-    count_practicals,
-    density_report,
-    sieve_practicals,
-)
 
 __version__ = "0.1.0"
+
+# The bitmap API needs numpy, which takes longer to import than the rest of
+# the package; it is loaded from `sieve` on first use (PEP 562).
+_SIEVE_EXPORTS = ("PracticalBitmap", "count_practicals", "density_report", "sieve_practicals")
+
+
+def __getattr__(name: str):
+    if name == "sieve" or name in _SIEVE_EXPORTS:
+        from importlib import import_module
+
+        sieve = import_module(".sieve", __name__)
+        return sieve if name == "sieve" else getattr(sieve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "sieve", *_SIEVE_EXPORTS})

@@ -15,11 +15,12 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import BudgetExceeded, InconsistentSystem, InvalidInput
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Deterministic Miller-Rabin witness set: the first 13 primes are correct for
 # all n < psi_13 = 3317044064679887385961981 (~3.3 * 10^24; Sorenson-Webster).
@@ -312,6 +313,8 @@ def prime_stream() -> Iterator[int]:
 
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (classic boolean sieve)."""
+    import numpy as np
+
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)

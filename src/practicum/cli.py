@@ -7,7 +7,8 @@ they can be audited without rerunning.  Sieve bitmaps are cached on disk
 and reused across runs.
 
 Exit codes: 0 success, 1 mathematical falsification signals (a verified
-theorem failed to verify -- never expected), 2 usage and budget errors.
+theorem failed to verify -- never expected), 2 usage and budget errors,
+3 an internal error (any other exception: a bug or a broken install).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .arith import FactorBudget
 from .errors import (
@@ -56,7 +58,12 @@ from .representations import (
     practical_triples,
     verify_not_representable,
 )
-from .sieve import PracticalBitmap, density_report, sieve_practicals
+
+# Imports are most of a short CLI process's time, so what only some commands
+# need (numpy, through `sieve`; `logging`; `traceback`) is imported inside the
+# function that uses it.
+if TYPE_CHECKING:
+    from .sieve import PracticalBitmap
 
 # Global flags, name -> default: each is a `--name` flag and a config-file key
 # of its default's type.  An unset flag falls back to the config file, then
@@ -153,6 +160,8 @@ def _evidence(ev) -> dict:
 
 def _get_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path]:
     """Load any cached bitmap covering `limit`, else sieve and cache."""
+    from .sieve import PracticalBitmap, sieve_practicals
+
     cache_dir = Path(args.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     best: tuple[int, Path] | None = None
@@ -167,7 +176,7 @@ def _get_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path]:
         try:
             return PracticalBitmap.load(best[1]), best[1]
         except PracticumError as exc:
-            import logging  # only here: imports dominate the CLI's start-up time
+            import logging
 
             logging.getLogger("practicum").warning(
                 "ignoring corrupt cache entry %s (%s); rebuilding", best[1], exc
@@ -217,6 +226,8 @@ def _cmd_count(args) -> dict:
     bitmap, _ = _get_bitmap(args, max([args.x] + (args.report or [])))
     out = {"x": args.x, "count": bitmap.count(args.x)}
     if args.report:
+        from .sieve import density_report
+
         rows = density_report(args.report, bitmap)
         out["rows"] = [{"x": x, "count": c, "ratio": ratio} for x, c, ratio in rows]
     return out
@@ -520,6 +531,12 @@ def main(argv=None) -> int:
     except (PracticumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other exception is a bug; 1 stays for falsifications
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

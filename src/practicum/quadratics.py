@@ -25,6 +25,7 @@ from itertools import islice, product
 from .arith import Factorization, _is_prime, crt_solve, prime_stream, valuation
 from .errors import (
     ClassificationMismatch,
+    FalsificationSignal,
     InvalidInput,
     IterationCap,
     ScanBudgetExceeded,
@@ -179,7 +180,7 @@ def _lift_levels(q: QuadraticPoly, p: int, max_level: int):
                         kind="hensel", root=n, level=level, val_q=vq, val_dq=t
                     )
         if level >= max_level:  # mathematically unreachable; see module docstring
-            raise RuntimeError(
+            raise FalsificationSignal(
                 f"root lifting for {q} mod {p} ran past its termination bound"
             )
         nxt = _lift(q, p, roots, level)
@@ -460,7 +461,7 @@ def quad_constructive_witness(
             value = q(n)
             multiplier, rem = divmod(value, divisor)
             if rem:
-                raise RuntimeError(f"CRT solution lost divisibility for {q}")
+                raise FalsificationSignal(f"CRT solution lost divisibility for {q}")
             if best is None or multiplier < best[0]:
                 best = (multiplier, n, value)
         if (

@@ -18,11 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import crt_solve
-from .errors import InvalidInput, InvalidJ, InvalidResidue, NotFound
+from .errors import (
+    FalsificationSignal,
+    InvalidInput,
+    InvalidJ,
+    InvalidResidue,
+    NotFound,
+)
 from .practical import (
     MultiplierCertificate,
     PracticalityVerdict,
@@ -30,7 +35,9 @@ from .practical import (
     is_practical,
     is_practical_quick,
 )
-from .sieve import PracticalBitmap, sieve_practicals
+
+if TYPE_CHECKING:
+    from .sieve import PracticalBitmap
 
 NON_REPRESENTABLE_J = (0, 2, 3, 4, 5, 6, 7)
 
@@ -130,7 +137,7 @@ def decompose_square_plus_practical(n: int) -> SquareDecomposition:
     part = n - x * x
     s, rem = divmod(part, 1 << (m + 2))
     if rem or not 1 <= s <= 1 << m or not 1 <= x <= (1 << m) - 1:
-        raise RuntimeError(f"decomposition invariants failed for n = {n}")
+        raise FalsificationSignal(f"decomposition invariants failed for n = {n}")
     cert = power2_practical(m + 2, s)
     return SquareDecomposition(
         n=n, x=x, practical_part=part, m=m, s=s, certificate=cert
@@ -226,6 +233,8 @@ def goldbach_pair(
     if n < 2 or n % 2:
         raise InvalidInput(f"n must be even and >= 2, got {n}")
     if bitmap is None or bitmap.limit < n:
+        from .sieve import sieve_practicals
+
         bitmap = sieve_practicals(n)
     flags = bitmap.flags
     for p1 in range(1, n // 2 + 1):
@@ -242,7 +251,11 @@ def practical_triples(
         raise InvalidInput(f"limit must be >= 1, got {limit}")
     if limit < 3:
         return []
+    import numpy as np
+
     if bitmap is None or bitmap.limit < limit + 2:
+        from .sieve import sieve_practicals
+
         bitmap = sieve_practicals(limit + 2)
     flags = bitmap.flags
     ms = np.arange(3, limit + 1)
@@ -276,6 +289,6 @@ def palindromic_practicals(count: int) -> list[PalindromicEntry]:
         evidence = certify_product(evidence, multiplier, use_sigma=False)
         value = value * multiplier
         if value != 8 * (10 ** (2 ** (i + 1)) - 1) // 9:
-            raise RuntimeError(f"palindromic chain drifted at index {i + 1}")
+            raise FalsificationSignal(f"palindromic chain drifted at index {i + 1}")
         entries.append(PalindromicEntry(index=i + 1, value=value, evidence=evidence))
     return entries

@@ -1,8 +1,14 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from practicum import cli, quadratics, representations
+from practicum.arith import crt_solve
 from practicum.cli import main
 from practicum.sieve import PracticalBitmap
 
@@ -279,3 +285,42 @@ def test_exit_codes(capsys):
     # oracle bound: exit 2
     code, _, err = run_cli(capsys, "--oracle-bound", "100", "oracle", "101")
     assert code == 2
+
+
+def test_uncaught_exception_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setattr(cli, "_cmd_test", broken)
+    code, out, err = run_cli(capsys, "test", "88")
+    assert (code, out) == (3, "")
+    assert "internal error: RuntimeError: handler bug" in err
+
+
+def test_bitmap_command_without_numpy_exits_3(tmp_path):
+    child = ("import sys\n"
+             "sys.modules['numpy'] = None\n"
+             "from practicum.cli import main\n"
+             "sys.exit(main(['sieve', '--limit', '100']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent),
+               PRACTICUM_CACHE_DIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "internal error: ModuleNotFoundError" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, module, name, fake", [
+    # x = 2 is even: n - x^2 leaves the 2-adic class the split guarantees
+    (["decompose", "41"], representations, "sqrt_mod_power_of_two", lambda m, k: 2),
+    # roots that lift forever pass the level bound m_q cannot exceed
+    (["quad", "mq", "1", "0", "1", "2"], quadratics, "_lift", lambda q, p, roots, level: roots),
+    # a CRT solution one off no longer makes q(n) divisible by the modulus
+    (["quad", "witness", "1", "0", "3", "--min", "100"], quadratics, "crt_solve",
+     lambda combo: (lambda r, m: (r + 1, m))(*crt_solve(combo))),
+], ids=["decompose", "lifting", "crt"])
+def test_broken_invariants_are_falsifications(capsys, monkeypatch, argv, module, name, fake):
+    monkeypatch.setattr(module, name, fake)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("FALSIFICATION: ")

@@ -9,7 +9,10 @@ directory and cache directory.  Refactors must leave each of them unchanged.
 """
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,49 @@ def test_readme_example_stdout_is_byte_identical(entry, tmp_path, monkeypatch, c
 @pytest.mark.parametrize("entry", EXTRA, ids=["-".join(e["argv"]) for e in EXTRA])
 def test_extra_stdout_is_byte_identical(entry, tmp_path, monkeypatch, capsys):
     _assert_stdout(entry, tmp_path, monkeypatch, capsys)
+
+
+# Commands that build no bitmap, and so must run without numpy.
+NO_BITMAP = {
+    ("test",), ("oracle",), ("ap", "classify"), ("ap", "stream"), ("ap", "witness"),
+    ("poly", "witness"), ("quad", "mq"), ("quad", "classify"), ("quad", "stream"),
+    ("quad", "witness"), ("decompose",), ("family",), ("palindromic",),
+}
+
+
+def _command(argv: list[str]) -> tuple[str, ...]:
+    """The (sub)command of an invocation; every global flag takes a value."""
+    i = 0
+    while argv[i].startswith("--"):
+        i += 2
+    return tuple(argv[i:i + 2]) if argv[i] in ("ap", "poly", "quad") else (argv[i],)
+
+
+def test_bitmap_free_commands_run_without_numpy(tmp_path):
+    entries = [e for e in CORPUS + EXTRA if _command(e["argv"]) in NO_BITMAP]
+    assert {_command(e["argv"]) for e in entries} == NO_BITMAP
+    child = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "from practicum.cli import main\n"
+        "results = []\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    out = io.StringIO()\n"
+        "    with redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    results.append([code, out.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PRACTICUM_CACHE_DIR=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
+                          input=json.dumps([e["argv"] for e in entries]),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for entry, (code, out) in zip(entries, json.loads(proc.stdout), strict=True):
+        assert (code, out) == (0, entry["stdout"]), entry["argv"]
+    assert not (tmp_path / "cache").exists()
 
 
 def _assert_stdout(entry, tmp_path, monkeypatch, capsys):

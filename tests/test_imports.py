@@ -1,0 +1,84 @@
+"""numpy stays off the start-up path, and the package's names stay put.
+
+Only the bitmap API (`practicum.sieve` and its four exports, loaded on
+first use) and the functions that build arrays import numpy, so a process
+that runs a bitmap-free command never pays for it.  Each check runs in a
+fresh interpreter, where nothing has imported numpy yet.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Every public name of `practicum` before its bitmap API became lazy.
+EXPORTS = (
+    "APClassification", "APWitness", "BoundViolated", "BudgetExceeded",
+    "ClassificationMismatch", "DEFAULT_BUDGET", "FactorBudget", "Factorization",
+    "FalsificationSignal", "FamilySpec", "FiniteWitness", "InconsistentSystem",
+    "InfiniteWitness", "InvalidInput", "InvalidJ", "InvalidResidue", "IterationCap",
+    "MemoryBudgetExceeded", "MqResult", "MultiplierCertificate", "NotFound",
+    "OracleBoundExceeded", "PalindromicEntry", "PolyWitness", "PracticalBitmap",
+    "PracticalityVerdict", "PracticumError", "QuadClassification", "QuadWitness",
+    "QuadraticPoly", "RepresentationTrace", "ScanBudgetExceeded", "SearchExhausted",
+    "SquareDecomposition", "StewartWitness", "ap_constructive_witness",
+    "ap_practical_stream", "arith", "certify_product", "classify_ap",
+    "classify_quadratic", "count_practicals", "crt_solve",
+    "decompose_square_plus_practical", "density_report", "errors", "factorize",
+    "family_member", "family_spec", "family_stream", "goldbach_pair", "is_practical",
+    "is_practical_oracle", "is_practical_quick", "largest_practical_divisor",
+    "least_infinite_prime", "mq", "nonpractical_witness", "palindromic_practicals",
+    "power2_practical", "practical", "practical_from_factorization",
+    "practical_triples", "prime_stream", "primes_upto", "progressions",
+    "quad_constructive_witness", "quad_practical_stream", "quadratics",
+    "representations", "sieve", "sieve_practicals", "sigma", "sigma_prime_power",
+    "sqrt_mod_power_of_two", "valuation", "verify_not_representable", "__version__",
+)
+
+
+def run_child(code: str) -> str:
+    """stdout of a fresh interpreter running code with ./src on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_package_and_the_cli_loads_no_numpy():
+    for module in ("practicum", "practicum.cli"):
+        out = run_child(f"import sys, {module}; print('numpy' in sys.modules)")
+        assert out == "False\n", module
+
+
+def test_every_export_resolves_and_is_listed():
+    out = run_child(
+        "import json, sys, practicum\n"
+        "listed = dir(practicum)\n"
+        "before = 'numpy' in sys.modules\n"
+        f"for name in {EXPORTS!r}:\n"
+        "    getattr(practicum, name)\n"
+        "from practicum import sieve_practicals\n"
+        "import practicum.sieve as sieve\n"
+        "try:\n"
+        "    practicum.no_such_name\n"
+        "    missing = False\n"
+        "except AttributeError:\n"
+        "    missing = True\n"
+        "print(json.dumps({\n"
+        "    'listed': listed,\n"
+        "    'numpy_before': before,\n"
+        "    'same_module': practicum.sieve is sieve is sys.modules['practicum.sieve'],\n"
+        "    'same_function': sieve_practicals is sieve.sieve_practicals,\n"
+        "    'same_class': practicum.PracticalBitmap is sieve.PracticalBitmap,\n"
+        "    'missing_raises': missing,\n"
+        "}))\n"
+    )
+    got = json.loads(out)
+    assert set(EXPORTS) <= set(got["listed"])
+    assert got["numpy_before"] is False
+    assert got["same_module"] and got["same_function"] and got["same_class"]
+    assert got["missing_raises"]
