@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .arith import FactorBudget, Factorization, factorize, sigma_prime_power
@@ -211,11 +212,24 @@ class MultiplierCertificate:
     bound_kind: str  # "sigma": bound == sigma(base)+1; "doubling": bound == 2*base-1
     base_evidence: Evidence
 
-    @property
+    @cached_property
     def value(self) -> int:
         return self.base * self.multiplier
 
+    @cached_property
+    def practical(self) -> bool:
+        """verify(), computed once per instance: the fields are frozen, so
+        the answer cannot change, and a certificate derived from this one
+        (dataclasses.replace, a new link) starts with no answer."""
+        return self._check()
+
     def verify(self) -> bool:
+        """The multiplier is within the recorded bound, the bound is the one
+        its kind names, and the base evidence proves the base practical,
+        down to the structure test at the bottom of the chain."""
+        return self.practical
+
+    def _check(self) -> bool:
         ev = self.base_evidence
         if isinstance(ev, MultiplierCertificate):
             if ev.value != self.base or not ev.verify():

@@ -23,7 +23,14 @@ from .errors import (
     ScanBudgetExceeded,
     SearchExhausted,
 )
-from .practical import PracticalityVerdict, is_practical, is_practical_quick
+from .practical import (
+    Evidence,
+    PracticalityVerdict,
+    certify_product,
+    is_practical,
+    is_practical_quick,
+    practical_from_factorization,
+)
 
 INFINITELY_MANY = "infinitely_many"
 EXACTLY_ONE = "exactly_one"
@@ -46,11 +53,12 @@ class APClassification:
 
 @dataclass(frozen=True)
 class APWitness:
-    """A practical term a*n + b >= threshold produced constructively."""
+    """A practical term a*n + b >= threshold produced constructively;
+    verdict is the multiplier-lemma certificate on d * prime^k."""
 
     n: int
     value: int
-    verdict: PracticalityVerdict
+    verdict: Evidence
     prime: int
     k: int
     d: int
@@ -154,20 +162,23 @@ def ap_constructive_witness(a: int, b: int, threshold: int) -> APWitness:
     while True:
         pk = p**k
         merged = {**d_factors, p: d_factors.get(p, 0) + k}
-        sig = sigma(Factorization(tuple(sorted(merged.items()))))
-        if pk >= threshold and pk >= b1 and sig >= a1:
+        divisor = Factorization(tuple(sorted(merged.items())))
+        if pk >= threshold and pk >= b1 and sigma(divisor) >= a1:
             break
         k += 1
 
     r = (-b1 * pow(a1, -1, pk)) % pk
     n = r if r >= 1 else pk
     value = a * n + b
-    verdict = is_practical(value)
-    if not verdict.practical:
+    verdict = practical_from_factorization(divisor)
+    multiplier, rem = divmod(value, verdict.n)
+    if rem or not verdict.practical or multiplier > verdict.sigma + 1:
         raise ClassificationMismatch(
-            f"constructed term {value} of {a}n+{b} failed the practicality test"
+            f"constructed term {value} of {a}n+{b} is not certified by {verdict.n}"
         )
-    return APWitness(n=n, value=value, verdict=verdict, prime=p, k=k, d=d)
+    return APWitness(
+        n=n, value=value, verdict=certify_product(verdict, multiplier), prime=p, k=k, d=d
+    )
 
 
 def _poly_eval(coeffs: list[int], n: int) -> int:

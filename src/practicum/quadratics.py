@@ -31,7 +31,9 @@ from .errors import (
     ScanBudgetExceeded,
 )
 from .practical import (
+    Evidence,
     PracticalityVerdict,
+    certify_product,
     is_practical,
     is_practical_quick,
     practical_from_factorization,
@@ -131,11 +133,12 @@ class QuadClassification:
 
 @dataclass(frozen=True)
 class QuadWitness:
-    """A practical value q(n) >= threshold with its supporting arithmetic."""
+    """A practical value q(n) >= threshold with its supporting arithmetic;
+    verdict is the multiplier-lemma certificate modulus * multiplier."""
 
     n: int
     value: int
-    verdict: PracticalityVerdict
+    verdict: Evidence
     modulus: int                # practical divisor of value, built by CRT
     modulus_verdict: PracticalityVerdict
     multiplier: int             # value // modulus, <= sigma(modulus) + 1
@@ -364,33 +367,37 @@ def _roots_mod_prime(q: QuadraticPoly, p: int) -> list[int]:
 def _roots_mod_prime_power(
     q: QuadraticPoly, p: int, k: int, cap: int = 8
 ) -> list[int] | None:
-    """Up to `cap` roots of q mod p^k, ascending; [] if none.
+    """The `cap` smallest roots of q mod p^k, ascending; [] if none.
 
     Returns None when the congruence is vacuous (the content alone covers
-    p^k), in which case divisibility holds for every n.  Content freedom is
-    folded back in: a root of the primitive part mod p^(k-v) yields p^v
-    distinct roots mod p^k.
+    p^k), in which case divisibility holds for every n.
+
+    The roots mod p^k are a union of classes n = rho (mod p^s), found by
+    splitting on the roots mod p: a root r of g mod p turns g(x) = 0
+    (mod p^need) into g(r + p y) / p^v = 0 (mod p^(need - v)), where p^v
+    is the largest power of p dividing every coefficient (v >= 1, so the
+    search ends), and a class is complete once v reaches need.  Only
+    classes that really hold roots mod p^k are ever kept, however many
+    roots they hold.
     """
     g = q.content
-    v = valuation(g, p) if g > 1 else 0
-    if k <= v:
+    if k <= (valuation(g, p) if g > 1 else 0):
         return None
-    q1 = q.primitive()
-    k1 = k - v
-    roots = _roots_mod_prime(q1, p)
-    level = 1
-    while roots and level < k1:
-        roots = _lift(q1, p, roots, level)[: 4 * cap]
-        level += 1
-    if not roots:
-        return []
-    base = p**k1
-    out = []
-    for j in range(p**v):
-        out.extend(r + j * base for r in roots)
-        if len(out) >= cap:
-            break
-    return sorted(out)[:cap]
+    classes = []
+    todo = [(q.a, q.b, q.c, 0, 1, k)]  # g(y) = q(rho + step * y) / p^(k - need)
+    while todo:
+        a, b, c, rho, step, need = todo.pop()
+        while need and a % p == 0 and b % p == 0 and c % p == 0:
+            a, b, c, need = a // p, b // p, c // p, need - 1
+        if not need:
+            classes.append((rho, step))
+            continue
+        for r in _roots_mod_prime(QuadraticPoly(a, b, c), p):
+            # g(r + p y) = a p^2 y^2 + (2 a r + b) p y + g(r)
+            todo.append((a * p * p, (2 * a * r + b) * p, (a * r + b) * r + c,
+                         rho + r * step, step * p, need))
+    top = p**k
+    return sorted(n for rho, step in classes for n in islice(range(rho, top, step), cap))[:cap]
 
 
 def _t_prime_candidates(q: QuadraticPoly, p_r: int, scan_cap: int):
@@ -470,15 +477,10 @@ def quad_constructive_witness(
             and best[0] <= mod_verdict.sigma + 1
         ):
             multiplier, n, value = best
-            verdict = is_practical(value)
-            if not verdict.practical:
-                raise ClassificationMismatch(
-                    f"constructed value {value} of {q} failed the practicality test"
-                )
             return QuadWitness(
                 n=n,
                 value=value,
-                verdict=verdict,
+                verdict=certify_product(mod_verdict, multiplier),
                 modulus=divisor,
                 modulus_verdict=mod_verdict,
                 multiplier=multiplier,

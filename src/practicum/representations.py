@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arith import crt_solve
+from .arith import Factorization, crt_solve
 from .errors import (
     FalsificationSignal,
     InvalidInput,
@@ -34,6 +34,7 @@ from .practical import (
     certify_product,
     is_practical,
     is_practical_quick,
+    practical_from_factorization,
 )
 
 if TYPE_CHECKING:
@@ -108,24 +109,31 @@ def power2_practical(k: int, multiplier: int) -> MultiplierCertificate:
         raise InvalidInput(f"k must be >= 1, got {k}")
     if multiplier < 1:
         raise InvalidInput(f"multiplier must be >= 1, got {multiplier}")
-    return certify_product(is_practical(1 << k), multiplier)
+    return certify_product(practical_from_factorization(Factorization(((2, k),))), multiplier)
 
 
 def sqrt_mod_power_of_two(m: int, k: int) -> int:
     """Odd x in [1, 2^k - 1] with x^2 = m (mod 2^(k+2)), for m = 1 (mod 8).
 
-    Built by the doubling induction: x_1 = 1, and x_{s+1} is x_s itself or
-    2^(s+1) - x_s, whichever square matches m modulo 2^(s+3).
+    Newton's iteration for the inverse square root, r <- r (3 - m r^2) / 2,
+    takes m r^2 = 1 (mod 2^j) to precision 2j - 2, starting from r = 1 at
+    j = 3.  Once j >= k + 2, x = m r is a root modulo 2^(k+2); modulo
+    2^(k+1) the roots are x and -x, and exactly one of them lies below 2^k.
+    That root is unique, so it is the one the doubling induction of the
+    proof builds.
     """
     if m % 8 != 1:
         raise InvalidResidue(f"m must be 1 mod 8, got {m}")
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
-    x = 1
-    for s in range(1, k):
-        if (x * x - m) % (1 << (s + 3)):
-            x = (1 << (s + 1)) - x
-    return x
+    mod = 1 << (k + 3)
+    m %= mod
+    r, j = 1, 3
+    while j < k + 2:
+        r = r * (3 - m * r * r) % mod >> 1
+        j = 2 * j - 2
+    x = m * r % (1 << (k + 1))
+    return (1 << (k + 1)) - x if x >> k else x
 
 
 def decompose_square_plus_practical(n: int) -> SquareDecomposition:
@@ -280,15 +288,14 @@ def palindromic_practicals(count: int) -> list[PalindromicEntry]:
     """
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
-    entries: list[PalindromicEntry] = []
-    value = 88
     evidence: PracticalityVerdict | MultiplierCertificate = is_practical(88)
-    entries.append(PalindromicEntry(index=1, value=88, evidence=evidence))
+    entries = [PalindromicEntry(index=1, value=88, evidence=evidence)]
+    power = 100  # 10^(2^i), squared forward
     for i in range(1, count):
-        multiplier = 10 ** (2**i) + 1
-        evidence = certify_product(evidence, multiplier, use_sigma=False)
-        value = value * multiplier
-        if value != 8 * (10 ** (2 ** (i + 1)) - 1) // 9:
+        evidence = certify_product(evidence, power + 1, use_sigma=False)
+        value = evidence.value
+        power *= power
+        if 9 * value + 8 != 8 * power:
             raise FalsificationSignal(f"palindromic chain drifted at index {i + 1}")
         entries.append(PalindromicEntry(index=i + 1, value=value, evidence=evidence))
     return entries

@@ -58,3 +58,14 @@ def mq_oracle(a: int, b: int, c: int, p: int) -> tuple[str, int]:
         roots = cur
     return "at_least", horizon
 
+
+
+def sqrt_mod_power_of_two_doubling(m: int, k: int) -> int:
+    """Odd x in [1, 2^k - 1] with x^2 = m (mod 2^(k+2)), for m = 1 (mod 8),
+    by the doubling induction of the 8k+1 proof: x_1 = 1, and x_{s+1} is
+    x_s or 2^(s+1) - x_s, whichever square matches m modulo 2^(s+3)."""
+    x = 1
+    for s in range(1, k):
+        if (x * x - m) % (1 << (s + 3)):
+            x = (1 << (s + 1)) - x
+    return x

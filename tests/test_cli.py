@@ -63,7 +63,7 @@ def test_ap_commands(capsys):
     assert data["values"] == [8, 20, 32]
     data = run_json(capsys, "ap", "witness", "3", "5", "--min", "100")
     assert data["value"] == 128 and data["n"] == 41
-    assert data["verdict"]["practical"] is True
+    assert data["verdict"]["type"] == "certificate" and data["verdict"]["value"] == 128
 
 
 def test_poly_witness_command(capsys):
@@ -83,7 +83,24 @@ def test_quad_commands(capsys):
     data = run_json(capsys, "quad", "stream", "1", "1", "2", "--count", "3")
     assert data["values"] == [4, 8, 32]
     data = run_json(capsys, "quad", "witness", "1", "0", "3", "--min", "100")
-    assert data["value"] > 100 and data["verdict"]["practical"] is True
+    assert data["value"] > 100 and data["verdict"]["type"] == "certificate"
+    assert data["verdict"]["value"] == data["value"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["quad", "witness", "1", "0", "3", "--min", str(10**60)],  # value past the factoring budget
+    ["quad", "witness", "1", "2", "1", "--min", str(10**12)],  # (n + 1)^2
+])
+def test_quad_witness_is_certified_without_factoring(capsys, argv):
+    data = run_json(capsys, *argv)
+    cert = data["verdict"]
+    a, b, c = map(int, argv[2:5])
+    n = data["n"]
+    assert data["value"] == (a * n + b) * n + c >= int(argv[-1])
+    assert cert["type"] == "certificate" and cert["bound_kind"] == "sigma"
+    assert (cert["base"], cert["multiplier"]) == (data["modulus"], data["multiplier"])
+    assert cert["value"] == cert["base"] * cert["multiplier"] == data["value"]
+    assert cert["multiplier"] <= cert["bound"] == cert["base_evidence"]["chain"][-1][2] + 1
 
 
 def test_family_command(capsys):

@@ -121,7 +121,8 @@ def test_stream_budget():
 def test_constructive_witness_examples():
     w = ap_constructive_witness(3, 5, 100)
     assert (w.prime, w.k, w.n, w.value) == (2, 7, 41, 128)
-    assert w.verdict.practical and w.verdict.replay()
+    assert w.verdict.verify() and w.verdict.value == w.value
+    assert (w.verdict.base, w.verdict.multiplier, w.verdict.bound_kind) == (128, 1, "sigma")
 
     w = ap_constructive_witness(1, 1, 2)
     assert (w.n, w.value) == (1, 2)
@@ -143,7 +144,8 @@ def test_constructive_witness_random_triples():
         assert w.value >= threshold
         assert w.value == a * w.n + b and w.n >= 1
         assert w.value % (w.d * w.prime**w.k) == 0
-        assert w.verdict.practical and w.verdict.replay()
+        assert w.verdict.verify() and w.verdict.value == w.value
+        assert w.verdict.base == w.d * w.prime**w.k
         done += 1
 
 

@@ -260,7 +260,7 @@ def test_constructive_witness_contract():
     q = QuadraticPoly(1, 1, 2)
     w = quad_constructive_witness(q, 10)
     assert w.value >= 10 and w.value == q(w.n)
-    assert w.verdict.practical and w.verdict.replay()
+    assert w.verdict.verify() and w.verdict.value == w.value
     assert w.value % w.modulus == 0
     assert w.modulus_verdict.practical
     assert w.multiplier <= w.modulus_verdict.sigma + 1
@@ -272,7 +272,7 @@ def test_constructive_witness_contract():
     w = quad_constructive_witness(q, 100)
     assert w.value > 100 and w.value == q(w.n)
     assert w.value % 7**w.k == 0
-    assert w.verdict.practical
+    assert w.verdict.verify() and w.verdict.value == w.value
 
 
 def test_constructive_witness_nonmonic():
@@ -285,7 +285,7 @@ def test_constructive_witness_nonmonic():
         q = QuadraticPoly(*coeffs)
         w = quad_constructive_witness(q, threshold)
         assert w.value >= threshold and w.value == q(w.n)
-        assert w.verdict.practical and w.verdict.replay()
+        assert w.verdict.verify() and w.verdict.value == w.value
 
 
 def test_constructive_witness_single_root_class():
@@ -295,7 +295,7 @@ def test_constructive_witness_single_root_class():
     q = QuadraticPoly(8, -2, 0)
     w = quad_constructive_witness(q, 99991)
     assert w.value >= 99991 and w.value == q(w.n)
-    assert w.verdict.practical
+    assert w.verdict.verify() and w.verdict.value == w.value
     assert w.multiplier <= w.modulus_verdict.sigma + 1
 
 
@@ -311,7 +311,7 @@ def test_constructive_witness_random_polys():
         threshold = rng.choice((1, 50, 4000, 10**5))
         w = quad_constructive_witness(q, threshold)
         assert w.value >= threshold and w.value == q(w.n) and w.n >= 1
-        assert w.verdict.practical and w.verdict.replay()
+        assert w.verdict.verify() and w.verdict.value == w.value
         assert w.value % w.modulus == 0
         assert w.multiplier <= w.modulus_verdict.sigma + 1
         done += 1
@@ -326,3 +326,47 @@ def test_constructive_witness_negative_vertex_values():
 def test_constructive_witness_rejects_finite():
     with pytest.raises(InvalidInput):
         quad_constructive_witness(QuadraticPoly(1, 0, 1), 10)
+
+
+SQUARES = ((1, 2, 1), (1, 4, 4), (2, 4, 2), (2, 8, 8), (3, 6, 3), (4, 8, 4))
+
+
+def _assert_witness(q, threshold):
+    w = quad_constructive_witness(q, threshold)
+    assert w.value >= threshold and w.value == q(w.n) and w.n >= 1
+    assert w.value == w.modulus * w.multiplier
+    assert w.verdict.verify() and w.verdict.value == w.value
+    assert w.verdict.base == w.modulus and w.verdict.bound_kind == "sigma"
+
+
+@pytest.mark.parametrize("coeffs", SQUARES, ids=[f"{a},{b},{c}" for a, b, c in SQUARES])
+def test_square_quadratic_witness_at_1e12(coeffs):
+    # the root set of a square mod 2^k has ~2^(k/2) members; keeping only a
+    # prefix of each level once lost every root that lifts to 2^40
+    _assert_witness(QuadraticPoly(*coeffs), 10**12)
+
+
+def test_roots_of_squares_mod_high_prime_powers_match_exhaustive_scan():
+    for a, b, c in SQUARES + ((1, 0, 0), (9, -6, 1)):
+        q = QuadraticPoly(a, b, c)
+        for p in (2, 3, 5):
+            k = 1
+            while p**k <= 2 * 10**5:
+                got = _roots_mod_prime_power(q, p, k)
+                if got is None:
+                    assert q.content % p**k == 0, (q, p, k)
+                else:
+                    assert got == _exhaustive_roots(a, b, c, p**k)[:8], (q, p, k)
+                k += 1
+    # n = 2^15 - 1 is a root of (n + 1)^2 mod 2^30, and the least one
+    assert _roots_mod_prime_power(QuadraticPoly(1, 2, 1), 2, 30)[0] == 2**15 - 1
+
+
+def test_every_infinite_small_quadratic_has_a_witness_at_1e12():
+    done = 0
+    for a, b, c in product(range(1, 5), range(-8, 9), range(-8, 9)):
+        q = QuadraticPoly(a, b, c)
+        if classify_quadratic(q).case == "infinitely_many":
+            _assert_witness(q, 10**12)
+            done += 1
+    assert done == 836

@@ -1,7 +1,11 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import sqrt_mod_power_of_two_doubling
 from practicum import (
     BoundViolated,
     InvalidInput,
@@ -21,6 +25,7 @@ from practicum import (
     sqrt_mod_power_of_two,
     verify_not_representable,
 )
+from practicum.practical import MultiplierCertificate
 
 
 def test_power2_practical_examples():
@@ -53,6 +58,19 @@ def test_sqrt_mod_power_of_two_induction_range():
             assert 1 <= x <= (1 << k) - 1
             assert x % 2 == 1
             assert (x * x - m) % (1 << (k + 2)) == 0
+
+
+def test_sqrt_mod_power_of_two_matches_the_doubling_induction():
+    rng = random.Random(71)
+    for _ in range(3000):
+        k = rng.randint(1, 200)
+        m = 8 * rng.getrandbits(rng.randint(0, 2 * k + 8)) + 1
+        assert sqrt_mod_power_of_two(m, k) == sqrt_mod_power_of_two_doubling(m, k), (m, k)
+    for _ in range(5):  # the 1000-digit inputs decompose sees: 3322 bits, k = 1660
+        n = rng.getrandbits(3322) | 1 << 3321
+        n += 1 - n % 8
+        k = (n.bit_length() - 1) // 2
+        assert sqrt_mod_power_of_two(n, k) == sqrt_mod_power_of_two_doubling(n, k)
 
 
 def test_decompose_examples():
@@ -218,3 +236,57 @@ def test_palindromic_chain_certificates_and_palindromes():
     # small ones also pass the direct structure test
     for e in entries[:3]:
         assert is_practical(e.value).practical
+
+
+PALINDROMIC_CHAIN = palindromic_practicals(8)
+_FORGEABLE = ("base", "multiplier", "bound", "bound_kind", "base_evidence")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    depth=st.integers(2, len(PALINDROMIC_CHAIN)),
+    field=st.sampled_from(_FORGEABLE),
+    delta=st.integers(-3, 3).filter(bool),
+    other=st.integers(1, len(PALINDROMIC_CHAIN)),
+)
+def test_forged_link_never_verifies_at_any_depth(depth, field, delta, other):
+    """Change one field of the certificate at `depth` and relink every later
+    certificate onto the forgery: neither the forgery nor the new top proves
+    the value its original proved, although every original link has already
+    verified (and memoized).  A changed multiplier may still be in bound, so
+    the forgery can prove a different product, never the original one."""
+    entries = PALINDROMIC_CHAIN
+    assert all(e.evidence.verify() for e in entries[1:])
+    cert = entries[depth - 1].evidence
+    if field == "bound_kind":
+        forged = "sigma" if cert.bound_kind == "doubling" else "doubling"
+    elif field == "base_evidence":
+        if other == depth - 1:
+            other = depth
+        forged = entries[other - 1].evidence
+    else:
+        forged = getattr(cert, field) + delta
+    top = dataclasses.replace(cert, **{field: forged})
+    assert not (top.verify() and top.value == cert.value)
+    for entry in entries[depth:]:
+        top = dataclasses.replace(entry.evidence, base_evidence=top)
+    assert not (top.verify() and top.value == entries[-1].value)
+    assert entries[-1].evidence.verify()
+
+
+def test_chain_checks_each_link_once(monkeypatch):
+    checked = []
+    check = MultiplierCertificate._check
+
+    def counting(self):
+        checked.append(id(self))
+        return check(self)
+
+    monkeypatch.setattr(MultiplierCertificate, "_check", counting)
+    entries = palindromic_practicals(19)
+    links = [id(e.evidence) for e in entries[1:]]
+    assert checked == links[:-1]  # building checks each base once, in order
+    assert all(e.evidence.verify() for e in entries[1:])
+    assert all(e.evidence.practical for e in entries[1:])
+    assert checked == links
+    assert entries[-1].value == 8 * (10**2**19 - 1) // 9
