@@ -349,7 +349,7 @@ def _cmd_palindromic(args) -> dict:
         "count": args.count,
         "values": [e.value for e in entries],
         "entries": [
-            {**_pick(e, "index", "value"), "digits": len(str(e.value)),
+            {**_pick(e, "index", "value"), "digits": 2**e.index,
              "evidence": _evidence(e.evidence)}
             for e in entries
         ],

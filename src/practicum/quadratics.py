@@ -7,13 +7,16 @@ the finite exponents, stops at the first infinite prime p_r, and the
 number p_1^m1 ... p_{r-1}^m{r-1} p_r is practical iff q represents
 infinitely many practical numbers.
 
-m_q is computed by level-by-level root lifting.  A root n at level k
-settles the question as soon as v_p(q(n)) >= 2 v_p(q'(n)) + 1 (it then
-refines to a p-adic root); if instead the root set empties, the last
-nonempty level is the answer.  After factoring out the content g, the
-process provably resolves by level v_p(disc) + v_p(4a) + 2, with the
-degenerate disc = 0 case decided directly: the double root -b/2a is a
-p-adic integer iff v_p(2a) <= v_p(b).
+m_q is computed by splitting the roots into residue classes n = rho (mod
+p^d), breadth first (`_class_split`): a class carries the largest power
+p^level dividing q on all of it, and splits on the roots mod p of its
+content-free part, so it takes one step per class rather than one per
+root.  The search stops at the first class whose least element rho meets
+the gap v_p(q(rho)) >= 2 v_p(q'(rho)) + 1 (rho then refines to a p-adic
+root); if instead the classes run out, m is the deepest level reached.
+After factoring out the content g, the process provably resolves by level
+v_p(disc) + v_p(4a) + 2, with the degenerate disc = 0 case decided
+directly: the double root -b/2a is a p-adic integer iff v_p(2a) <= v_p(b).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice, product
 
-from .arith import Factorization, _is_prime, crt_solve, prime_stream, valuation
+from .arith import Factorization, _is_prime, _jacobi, crt_solve, prime_stream, valuation
 from .errors import (
     ClassificationMismatch,
     FalsificationSignal,
@@ -34,7 +37,7 @@ from .practical import (
     Evidence,
     PracticalityVerdict,
     certify_product,
-    is_practical,
+    is_practical,  # noqa: F401  (unused here; bench/test_bench.py wraps it by this name)
     is_practical_quick,
     practical_from_factorization,
 )
@@ -146,77 +149,58 @@ class QuadWitness:
     t_primes: tuple[int, ...]
 
 
-def _lift(q: QuadraticPoly, p: int, roots: list[int], level: int) -> list[int]:
-    """Roots of q mod p^(level+1) lying over `roots` (distinct roots mod
-    p^level), ascending."""
-    step = p**level
-    mod_next = step * p
-    return sorted(
-        n + j * step for n in roots for j in range(p) if q(n + j * step) % mod_next == 0
-    )
-
-
-def _lift_levels(q: QuadraticPoly, p: int, max_level: int):
-    """Level-by-level root lifting for primitive q; returns
-    (exponent, FiniteWitness) or (None, InfiniteWitness)."""
-    roots = _roots_mod_prime(q, p)
-    if not roots:
-        return 0, FiniteWitness(root=None, empty_level=1)
-    level = 1
-    while True:
-        for n in roots:
-            fv = q(n)
-            dv = q.derivative(n)
-            if fv == 0:
-                return None, InfiniteWitness(
-                    kind="hensel",
-                    root=n,
-                    level=level,
-                    val_q=None,
-                    val_dq=valuation(dv, p) if dv else None,
-                )
-            if dv != 0:
-                t = valuation(dv, p)
-                vq = valuation(fv, p)
-                if vq >= 2 * t + 1:
-                    return None, InfiniteWitness(
-                        kind="hensel", root=n, level=level, val_q=vq, val_dq=t
-                    )
-        if level >= max_level:  # mathematically unreachable; see module docstring
+def _mq_primitive(q: QuadraticPoly, p: int):
+    """m_q(p) of primitive q: (exponent, FiniteWitness) or
+    (None, InfiniteWitness)."""
+    disc = q.discriminant
+    if disc != 0:
+        bound = valuation(disc, p) + valuation(4 * q.a, p) + 2
+    else:
+        v_lead = valuation(2 * q.a, p)
+        v_lin = valuation(q.b, p) if q.b else None
+        if v_lin is None or v_lead <= v_lin:
+            # -b/2a is a p-adic integer; approximate it to a comfortable level
+            prec = v_lead + 4
+            mod = p**prec
+            scale = p**v_lead
+            r = (-(q.b // scale) * pow(2 * q.a // scale, -1, mod // scale)) % (mod // scale)
+            fv = q(r)
+            level = valuation(fv, p) if fv else prec
+            return None, InfiniteWitness(
+                kind="double_root",
+                root=r,
+                level=level,
+                val_lead=v_lead,
+                val_lin=v_lin,
+            )
+        bound = 2 * v_lin + valuation(4 * q.a, p) + 2
+    # Two roots of a class mod p are simple and lift to p-adic roots, so a
+    # finite m_q splits along one chain of classes; the deepest class's rho
+    # is the least root mod p^m.
+    m, root = 0, None
+    for rho, _, level in _class_split(q, p, bound):
+        if not level:
+            continue
+        fv = q(rho)
+        dv = q.derivative(rho)
+        if fv == 0 or (dv and valuation(fv, p) >= 2 * valuation(dv, p) + 1):
+            top, lvl = p, 1  # the least lvl >= 1 with rho < p^lvl
+            while top <= rho:
+                top, lvl = top * p, lvl + 1
+            return None, InfiniteWitness(
+                kind="hensel",
+                root=rho,
+                level=lvl,
+                val_q=valuation(fv, p) if fv else None,
+                val_dq=valuation(dv, p) if dv else None,
+            )
+        if level == bound:  # mathematically unreachable; see module docstring
             raise FalsificationSignal(
                 f"root lifting for {q} mod {p} ran past its termination bound"
             )
-        nxt = _lift(q, p, roots, level)
-        if not nxt:
-            return level, FiniteWitness(root=min(roots), empty_level=level + 1)
-        roots = nxt
-        level += 1
-
-
-def _mq_primitive(q: QuadraticPoly, p: int):
-    disc = q.discriminant
-    if disc != 0:
-        max_level = valuation(disc, p) + valuation(4 * q.a, p) + 2
-        return _lift_levels(q, p, max_level)
-    v_lead = valuation(2 * q.a, p)
-    v_lin = valuation(q.b, p) if q.b else None
-    if v_lin is None or v_lead <= v_lin:
-        # -b/2a is a p-adic integer; approximate it to a comfortable level
-        prec = v_lead + 4
-        mod = p**prec
-        scale = p**v_lead
-        r = (-(q.b // scale) * pow(2 * q.a // scale, -1, mod // scale)) % (mod // scale)
-        fv = q(r)
-        level = valuation(fv, p) if fv else prec
-        return None, InfiniteWitness(
-            kind="double_root",
-            root=r,
-            level=level,
-            val_lead=v_lead,
-            val_lin=v_lin,
-        )
-    max_level = 2 * v_lin + valuation(4 * q.a, p) + 2
-    return _lift_levels(q, p, max_level)
+        if level > m:
+            m, root = level, rho
+    return m, FiniteWitness(root, m + 1)
 
 
 def mq(q: QuadraticPoly, p: int) -> MqResult:
@@ -262,8 +246,8 @@ def classify_quadratic(q: QuadraticPoly) -> QuadClassification:
     the practicality of p_1^m1 ... p_{r-1}^m{r-1} p_r."""
     walk = _mq_walk(q)
     p_r = walk[-1].p
-    n = p_r * math.prod(res.p**res.exponent for res in walk[:-1])
-    verdict = is_practical(n)
+    factors = [(res.p, res.exponent) for res in walk[:-1] if res.exponent]
+    verdict = practical_from_factorization(Factorization((*factors, (p_r, 1))))
     case = INFINITELY_MANY if verdict.practical else FINITELY_MANY
     return QuadClassification(
         poly=q,
@@ -271,7 +255,7 @@ def classify_quadratic(q: QuadraticPoly) -> QuadClassification:
         r=len(walk),
         p_r=p_r,
         exponents=tuple(res.exponent for res in walk[:-1]),
-        witness_n=n,
+        witness_n=verdict.n,
         verdict_n=verdict,
     )
 
@@ -306,13 +290,6 @@ def quad_practical_stream(
     return values
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def _sqrt_mod_prime(a: int, p: int) -> int:
     """Square root mod odd prime p; a must be 0 or a quadratic residue."""
     a %= p
@@ -325,7 +302,7 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while _legendre(z, p) != -1:
+    while _jacobi(z, p) != -1:
         z += 1
     c = pow(z, q, p)
     x = pow(a, (q + 1) // 2, p)
@@ -358,7 +335,7 @@ def _roots_mod_prime(q: QuadraticPoly, p: int) -> list[int]:
     inv2a = pow(2 * a, -1, p)
     if disc == 0:
         return [-b * inv2a % p]
-    if _legendre(disc, p) == -1:
+    if _jacobi(disc, p) == -1:
         return []
     s = _sqrt_mod_prime(disc, p)
     return sorted({(-b + s) * inv2a % p, (-b - s) * inv2a % p})
@@ -370,34 +347,43 @@ def _roots_mod_prime_power(
     """The `cap` smallest roots of q mod p^k, ascending; [] if none.
 
     Returns None when the congruence is vacuous (the content alone covers
-    p^k), in which case divisibility holds for every n.
-
-    The roots mod p^k are a union of classes n = rho (mod p^s), found by
-    splitting on the roots mod p: a root r of g mod p turns g(x) = 0
-    (mod p^need) into g(r + p y) / p^v = 0 (mod p^(need - v)), where p^v
-    is the largest power of p dividing every coefficient (v >= 1, so the
-    search ends), and a class is complete once v reaches need.  Only
-    classes that really hold roots mod p^k are ever kept, however many
-    roots they hold.
+    p^k), in which case divisibility holds for every n.  The roots are
+    the classes of `_class_split` that reach level k, however many roots
+    each holds.
     """
     g = q.content
     if k <= (valuation(g, p) if g > 1 else 0):
         return None
-    classes = []
-    todo = [(q.a, q.b, q.c, 0, 1, k)]  # g(y) = q(rho + step * y) / p^(k - need)
-    while todo:
-        a, b, c, rho, step, need = todo.pop()
-        while need and a % p == 0 and b % p == 0 and c % p == 0:
-            a, b, c, need = a // p, b // p, c // p, need - 1
-        if not need:
-            classes.append((rho, step))
-            continue
-        for r in _roots_mod_prime(QuadraticPoly(a, b, c), p):
-            # g(r + p y) = a p^2 y^2 + (2 a r + b) p y + g(r)
-            todo.append((a * p * p, (2 * a * r + b) * p, (a * r + b) * r + c,
-                         rho + r * step, step * p, need))
     top = p**k
-    return sorted(n for rho, step in classes for n in islice(range(rho, top, step), cap))[:cap]
+    return sorted(
+        n
+        for rho, step, level in _class_split(q, p, k)
+        if level == k
+        for n in islice(range(rho, top, step), cap)
+    )[:cap]
+
+
+def _class_split(q: QuadraticPoly, p: int, k: int):
+    """Breadth-first split of the roots of q modulo p^k into residue classes.
+
+    Yields (rho, step, level) for each class n = rho (mod step), 0 <= rho <
+    step, once its content is stripped: p^level divides q(n) on the whole
+    class and g(y) = q(rho + step y) / p^level has content prime to p, or
+    level = k.  A class below level k splits on the roots r of g mod p:
+    g(r + p y) = a p^2 y^2 + (2 a r + b) p y + g(r) has every coefficient
+    divisible by p, so each child's level is higher and the split ends.  The
+    first class yielded is the root class (0, 1, v_p(content)).
+    """
+    todo = [(q.a, q.b, q.c, 0, 1, 0)]
+    for a, b, c, rho, step, level in todo:  # the loop reaches the appended classes
+        while level < k and a % p == 0 and b % p == 0 and c % p == 0:
+            a, b, c, level = a // p, b // p, c // p, level + 1
+        yield rho, step, level
+        if level == k:
+            continue
+        for r in _roots_mod_prime(QuadraticPoly(a, b, c) if level else q, p):
+            todo.append((a * p * p, (2 * a * r + b) * p, (a * r + b) * r + c,
+                         rho + r * step, step * p, level))
 
 
 def _t_prime_candidates(q: QuadraticPoly, p_r: int, scan_cap: int):

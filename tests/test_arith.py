@@ -173,3 +173,9 @@ def test_strong_lucas_pseudoprimes_below_1e5():
                        40309, 58519, 75077, 97439]
     assert all(arith._strong_lucas(p) for p in primes_upto(10**5).tolist() if p > 41)
 
+
+def test_jacobi_matches_eulers_criterion():
+    for p in filter(is_prime_trial, range(3, 200, 2)):
+        for a in range(p):
+            euler = pow(a, (p - 1) // 2, p)
+            assert arith._jacobi(a, p) == (-1 if euler == p - 1 else euler), (a, p)

@@ -136,6 +136,8 @@ def test_palindromic_command(capsys):
     data = run_json(capsys, "palindromic", "--count", "3")
     assert data["values"] == [88, 8888, 88888888]
     assert data["entries"][2]["evidence"]["multiplier"] == 10001
+    data = run_json(capsys, "palindromic", "--count", "13")
+    assert [e["digits"] for e in data["entries"]] == [len(str(v)) for v in data["values"]]
 
 
 def test_sieve_cache_and_out(capsys, tmp_path, monkeypatch):
@@ -330,8 +332,9 @@ def test_bitmap_command_without_numpy_exits_3(tmp_path):
 @pytest.mark.parametrize("argv, module, name, fake", [
     # x = 2 is even: n - x^2 leaves the 2-adic class the split guarantees
     (["decompose", "41"], representations, "sqrt_mod_power_of_two", lambda m, k: 2),
-    # roots that lift forever pass the level bound m_q cannot exceed
-    (["quad", "mq", "1", "0", "1", "2"], quadratics, "_lift", lambda q, p, roots, level: roots),
+    # a class that reaches the level bound m_q cannot exceed, without the gap
+    (["quad", "mq", "1", "0", "1", "2"], quadratics, "_class_split",
+     lambda q, p, k: [(1, 2**k, k)]),
     # a CRT solution one off no longer makes q(n) divisible by the modulus
     (["quad", "witness", "1", "0", "3", "--min", "100"], quadratics, "crt_solve",
      lambda combo: (lambda r, m: (r + 1, m))(*crt_solve(combo))),

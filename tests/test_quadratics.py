@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from practicum import (
     InvalidInput,
@@ -186,6 +188,38 @@ def test_mq_matches_oracle_medium_grid():
                         assert res.exponent == lvl, (a, b, c, p)
                     else:
                         assert res.exponent >= lvl, (a, b, c, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 11, 13)),
+    coeffs=st.tuples(st.integers(1, 20), st.integers(-500, 500), st.integers(-500, 500)),
+    shifts=st.tuples(st.integers(0, 2), st.integers(0, 6), st.integers(0, 8)),
+)
+def test_mq_matches_oracle_on_random_polynomials(p, coeffs, shifts):
+    # the shifts put high powers of p into the coefficients, where the
+    # class split runs deep
+    a, b, c = (x * p**s for x, s in zip(coeffs, shifts))
+    res = mq(QuadraticPoly(a, b, c), p)
+    kind, lvl = mq_oracle(a, b, c, p)
+    if kind == "finite":
+        assert res.exponent == lvl
+    else:
+        assert res.infinite or res.exponent >= lvl
+
+
+def test_mq_high_valuation_runs_one_class_per_level():
+    # listing every root mod 5^k made m_q exponential in k = 24
+    q = QuadraticPoly(1, 0, -2 * 5**24)
+    res = mq(q, 5)
+    assert res.exponent == 24
+    _check_finite_witness(q, res)
+    assert classify_quadratic(q).exponents == (1, 0, 24)
+    # 4 + 5^60 is a 5-adic square, so n^2 - (4 + 5^60) 5^24 has a 5-adic root
+    q = QuadraticPoly(1, 0, -(4 + 5**60) * 5**24)
+    res = mq(q, 5)
+    assert res.infinite
+    _check_infinite_witness(q, res)
 
 
 def test_mq_content_decomposition_against_oracle():
