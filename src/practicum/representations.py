@@ -257,18 +257,15 @@ def practical_triples(
     """All m <= limit with m-2, m, m+2 simultaneously practical."""
     if limit < 1:
         raise InvalidInput(f"limit must be >= 1, got {limit}")
-    if limit < 3:
-        return []
     import numpy as np
 
     if bitmap is None or bitmap.limit < limit + 2:
         from .sieve import sieve_practicals
 
         bitmap = sieve_practicals(limit + 2)
-    flags = bitmap.flags
-    ms = np.arange(3, limit + 1)
-    mask = flags[ms - 2] & flags[ms] & flags[ms + 2]
-    return [int(m) for m in ms[mask]]
+    flags = bitmap.flags  # entry j of each slice is m - 2, m, m + 2 for m = j + 3
+    mask = flags[1 : limit - 1] & flags[3 : limit + 1] & flags[5 : limit + 3]
+    return (np.nonzero(mask)[0] + 3).tolist()
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Tree walk, no sieve: by the structure theorem every prefix of a practical
 number's ordered factorization is practical, so the practical numbers
 <= limit form a tree rooted at 1.  The children of a node n, with divisor
-sum s and largest prime p, are n*q^e for primes q > p with q <= s + 1.  A
-child n*q with q > isqrt(limit // n) has no children and no q^2 multiple
-under the limit, so each node's leaves are one slice of the prime table:
-counted by its length, set by one numpy scatter.  Counts need no bitmap.
+sum s and largest prime p, are n*q^e for primes q > p with q <= s + 1; the
+ones with q > isqrt(limit // n) are leaves, one range of the prime table.
+The walk holds one depth of nodes at a time as numpy arrays: searchsorted
+finds their child and leaf ranges, np.repeat expands them.  Counts add
+node counts and range lengths (no bitmap); the fill scatters both.
 
 The bitmap persists as a 16-byte header (magic "PRAC", version u32 LE,
 limit u64 LE) followed by a little-endian bit array over 0..limit.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -85,8 +85,8 @@ class PracticalBitmap:
             raise InvalidInput(
                 f"{path}: payload length {len(payload)} != expected {expected}"
             )
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
-        flags = bits[: limit + 1].astype(bool)
+        bits = np.frombuffer(payload, dtype=np.uint8)
+        flags = np.unpackbits(bits, count=limit + 1, bitorder="little").view(bool)
         if flags[0]:
             raise InvalidInput(f"{path}: corrupt bitmap (bit 0 set)")
         return cls(flags)
@@ -99,68 +99,71 @@ def _initial_prime_bound(limit: int) -> int:
     return math.isqrt(8 * limit) + 2
 
 
-def _tree_walk(limit: int, on_node, on_leaves) -> None:
-    """Visit every practical number <= limit once, from an explicit stack of
-    (n, sigma(n), table index of n's largest prime): on_node(n) for each
-    node, on_leaves(n, primes, i, j) for its leaves n * primes[i:j]."""
+def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index) pairs listing every index of the ranges lo[k]:hi[k]."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    index = np.arange(len(owner)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return owner, index
+
+
+def _tree_levels(limit: int):
+    """Every practical number <= limit once, one tree depth at a time: yields
+    (nodes, primes, lo, hi) with the leaves of nodes[k] at nodes[k] * primes[lo[k]:hi[k]].
+    A depth is held as int64 arrays of n, sigma(n) and the table index of
+    n's largest prime (-1 for the root); sigma(n) < 7n and q * q < 8 * limit
+    for table primes q keep them exact below 2^59."""
     primes = primes_upto(_initial_prime_bound(limit))
-    table = primes.tolist()
-    stack = [(1, 1, -1)]
-    while stack:
-        n, s, last = stack.pop()
-        on_node(n)
+    n, s, last = (np.array([v], dtype=np.int64) for v in (1, 1, -1))
+    while len(n):
         top = limit // n
-        hi = min(s + 1, top)
-        if hi > table[-1]:
-            primes = primes_upto(2 * hi)
-            table = primes.tolist()
-        mid = bisect_right(table, min(math.isqrt(top), hi), last + 1)
-        for i in range(last + 1, mid):
-            q = table[i]
-            m, t = n * q, q + 1  # t = sigma(q^e)
-            while m <= limit:
-                stack.append((m, s * t, i))
-                m, t = m * q, t * q + 1
-        end = bisect_right(table, hi, mid)
-        if end > mid:
-            on_leaves(n, primes, mid, end)
+        hi = np.minimum(s + 1, top)
+        if hi.max() > primes[-1]:
+            primes = primes_upto(2 * int(hi.max()))
+        end = np.searchsorted(primes, hi, "right")
+        mid = np.minimum(np.searchsorted(primes * primes, top, "right"), end)  # q * q <= top
+        mid = np.maximum(mid, last + 1)
+        end = np.maximum(end, mid)
+        yield n, primes, mid, end
+        owner, last = _spans(last + 1, mid)
+        q, s = primes[last], s[owner]
+        m, t = n[owner] * q, q + 1  # t = sigma(q^e)
+        kids = [(m, s * t, last)]
+        while len(m):
+            more = m <= limit // q  # m * q <= limit, without overflow
+            m, t, s, q, last = (a[more] for a in (m * q, t * q + 1, s, q, last))
+            kids.append((m, s * t, last))
+        n, s, last = (np.concatenate(a) for a in zip(*kids))
 
 
 def sieve_practicals(
     limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET
 ) -> PracticalBitmap:
-    """Bitmap of practical numbers on [1, limit]: one scatter per leaf slice
-    of the tree walk, then one for its nodes."""
+    """Bitmap of practical numbers on [1, limit]: per tree depth, one scatter
+    for its nodes and one for its leaves."""
     if limit < 1:
         raise InvalidInput(f"sieve limit must be >= 1, got {limit}")
     if limit + 1 > memory_budget:
         raise MemoryBudgetExceeded(f"bitmap for limit {limit} exceeds {memory_budget} bytes")
     flags = np.zeros(limit + 1, dtype=bool)
-    nodes: list[int] = []
-
-    def leaves(n, primes, i, j):
-        flags[n * primes[i:j]] = True
-
-    _tree_walk(limit, nodes.append, leaves)
-    flags[nodes] = True
+    for n, primes, lo, hi in _tree_levels(limit):
+        flags[n] = True
+        for k in range(0, len(n), 1024):  # the leaves of 1024 nodes at a time
+            owner, index = _spans(lo[k : k + 1024], hi[k : k + 1024])
+            flags[n[k + owner] * primes[index]] = True
     return PracticalBitmap(flags)
 
 
 def count_practicals(x: int, bitmap: PracticalBitmap | None = None) -> int:
     """Exact count of practical numbers <= x; without a bitmap, the tree's
-    node count plus its leaf slice lengths."""
+    node count plus its leaf range lengths."""
     if bitmap is not None:
         return bitmap.count(x)
     if x < 1:
         raise InvalidInput(f"count bound must be >= 1, got {x}")
-    total = 0
-
-    def add(k):
-        nonlocal total
-        total += k
-
-    _tree_walk(x, lambda _n: add(1), lambda _n, _primes, i, j: add(j - i))
-    return total
+    if x >= 1 << 59:  # below it, sigma(n) + 1 <= 7 * x stays under 2^63
+        raise InvalidInput(f"count bound must be < 2^59 for the int64 tree walk, got {x}")
+    return sum(len(n) + int((hi - lo).sum()) for n, _, lo, hi in _tree_levels(x))
 
 
 def density_report(

@@ -15,6 +15,8 @@ from practicum import (
     density_report,
     is_practical,
     is_practical_oracle,
+    is_practical_quick,
+    practical_triples,
     sieve_practicals,
 )
 
@@ -85,6 +87,50 @@ def test_prime_table_extends_at_run_time(monkeypatch):
     assert [count_practicals(x) for x in (10, 999, 10**5)] == reference_counts
 
 
+def _quick_flags(limit):
+    return np.array([False] + [is_practical_quick(n) for n in range(1, limit + 1)])
+
+
+def test_level_walk_matches_quick_scan_at_every_small_limit():
+    reference = _quick_flags(600)
+    for x in range(1, 601):
+        assert np.array_equal(sieve_practicals(x).flags, reference[: x + 1]), x
+        assert count_practicals(x) == int(reference[: x + 1].sum()), x
+
+
+def test_level_walk_matches_quick_scan_around_prime_powers():
+    # at p^k the tree gains a depth or a node moves a prime from its leaves
+    # to its children
+    reference = _quick_flags(2 * 10**5 + 1)
+    for p in (2, 3, 5, 7, 11, 13):
+        q = p
+        while q <= 2 * 10**5:
+            for x in (q - 1, q, q + 1):
+                if x >= 1:
+                    assert np.array_equal(sieve_practicals(x).flags, reference[: x + 1]), x
+                    assert count_practicals(x) == int(reference[: x + 1].sum()), x
+            q *= p
+
+
+def test_count_at_10_to_the_8_is_frozen():
+    assert count_practicals(10**8) == 7266286
+
+
+def test_count_rejects_bounds_beyond_int64_walk():
+    with pytest.raises(InvalidInput, match=r"2\^59"):
+        count_practicals(1 << 59)
+    with pytest.raises(InvalidInput, match=r"2\^59"):
+        count_practicals(10**30)
+
+
+def test_triples_match_brute_force_at_every_small_limit():
+    flags = _quick_flags(70)
+    for limit in range(1, 65):
+        expected = [m for m in range(3, limit + 1) if flags[m - 2] and flags[m] and flags[m + 2]]
+        assert practical_triples(limit) == expected, limit
+        assert practical_triples(limit, sieve_practicals(limit + 5)) == expected, limit
+
+
 @settings(max_examples=25, deadline=None)
 @given(N=st.integers(min_value=1, max_value=3 * 10**5), data=st.data())
 def test_tree_count_and_fill_agree_with_structure_test(N, data):
@@ -124,6 +170,7 @@ def test_save_load_roundtrip(tmp_path):
     bm.save(path)
     loaded = PracticalBitmap.load(path)
     assert loaded.limit == 12345
+    assert loaded.flags.dtype == bool
     assert np.array_equal(loaded.flags, bm.flags)
     # byte-identical re-save
     path2 = tmp_path / "p2.bits"
