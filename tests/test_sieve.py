@@ -91,25 +91,16 @@ def _quick_flags(limit):
     return np.array([False] + [is_practical_quick(n) for n in range(1, limit + 1)])
 
 
-def test_level_walk_matches_quick_scan_at_every_small_limit():
-    reference = _quick_flags(600)
-    for x in range(1, 601):
+def test_level_walk_matches_quick_scan():
+    # every small limit, and p^k - 1, p^k, p^k + 1: at p^k the tree gains a
+    # node and at q^2 / n a prime moves from a node's leaves to its children
+    limits = list(range(1, 601))
+    for p in (2, 3, 5, 7, 11, 13):
+        limits += [x for k in range(1, 18) if p**k <= 2 * 10**5 for x in (p**k - 1, p**k, p**k + 1)]
+    reference = _quick_flags(max(limits))
+    for x in limits:
         assert np.array_equal(sieve_practicals(x).flags, reference[: x + 1]), x
         assert count_practicals(x) == int(reference[: x + 1].sum()), x
-
-
-def test_level_walk_matches_quick_scan_around_prime_powers():
-    # at p^k the tree gains a depth or a node moves a prime from its leaves
-    # to its children
-    reference = _quick_flags(2 * 10**5 + 1)
-    for p in (2, 3, 5, 7, 11, 13):
-        q = p
-        while q <= 2 * 10**5:
-            for x in (q - 1, q, q + 1):
-                if x >= 1:
-                    assert np.array_equal(sieve_practicals(x).flags, reference[: x + 1]), x
-                    assert count_practicals(x) == int(reference[: x + 1].sum()), x
-            q *= p
 
 
 def test_count_at_10_to_the_8_is_frozen():
