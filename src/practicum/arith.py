@@ -1,11 +1,12 @@
 """Exact integer arithmetic substrate.
 
 Factorization (trial division + Pollard-Brent behind an explicit work
-budget), divisor sums, p-adic valuations, a CRT solver that accepts
-non-coprime moduli and the two ways primes are produced: prime_stream walks
-2, 3, 4, ... through the primality test _is_prime (Miller-Rabin, proven
-below psi_13 ~ 3.3 * 10^24, Baillie-PSW above), and primes_upto sieves a
-numpy prime table.  Everything here works on arbitrary-precision ints; only
+budget; the trial stage tests blocks of 256 wheel candidates with one gcd
+each and walks only a block that shares a factor with n), divisor sums,
+p-adic valuations, a CRT solver that accepts non-coprime moduli and the two
+ways primes are produced: prime_stream walks 2, 3, 4, ... through the
+primality test _is_prime (Miller-Rabin, proven below psi_13 ~ 3.3 * 10^24,
+Baillie-PSW above), and primes_upto sieves a numpy prime table.  Everything here works on arbitrary-precision ints; only
 the prime table is restricted to machine-word sizes.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -36,6 +38,10 @@ class FactorBudget:
 
     trial_bound  -- largest trial-division candidate before switching to rho
     work_limit   -- total charged operations (trial candidates + rho steps)
+
+    Trial division charges one unit per wheel candidate passed, whether the
+    candidate was divided into n or cleared with its block by one gcd, so
+    both limits mean what they meant for a candidate-by-candidate loop.
     """
 
     trial_bound: int = 1 << 16
@@ -179,6 +185,39 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+# Trial division runs over the integers >= 7 coprime to 30, the candidate with
+# index j being 30 * (j // 8) + _WHEEL[j % 8].  Blocks of _BLOCK consecutive
+# candidates are tested by one gcd with their product; the products are kept
+# for the first _CACHED_BLOCKS blocks (candidates below ~10^6) and made on the
+# fly beyond them, so a huge trial bound costs time, not memory.
+_WHEEL = (7, 11, 13, 17, 19, 23, 29, 31)
+_BLOCK = 256
+_CACHED_BLOCKS = 1024
+_block_products: dict[int, int] = {}
+
+
+def _candidate(j: int) -> int:
+    return 30 * (j >> 3) + _WHEEL[j & 7]
+
+
+def _candidates_upto(x: int) -> int:
+    """Number of wheel candidates <= x."""
+    q, r = divmod(x - 1, 30)
+    return max(0, 8 * q + bisect_right(_WHEEL, r + 1))
+
+
+def _block_product(b: int) -> int:
+    """Product of the wheel candidates of block b."""
+    product = _block_products.get(b)
+    if product is None:
+        span = 30 * (_BLOCK // 8)
+        product = math.prod(math.prod(range(span * b + w, span * (b + 1) + w, 30))
+                            for w in _WHEEL)
+        if b < _CACHED_BLOCKS:
+            _block_products[b] = product
+    return product
+
+
 class _WorkMeter:
     __slots__ = ("left",)
 
@@ -189,7 +228,8 @@ class _WorkMeter:
         self.left -= amount
         if self.left < 0:
             raise BudgetExceeded(
-                f"factorization work limit exhausted while factoring {n}"
+                f"factorization work limit exhausted while factoring {n}: "
+                "raise --factor-work (FactorBudget.work_limit)"
             )
 
 
@@ -231,9 +271,11 @@ def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
 def factorize(n: int, budget: FactorBudget | None = None) -> Factorization:
     """Canonical factorization of n >= 1.
 
-    Trial division up to budget.trial_bound, then Miller-Rabin plus
-    Pollard-Brent for any remaining cofactor.  Raises BudgetExceeded when
-    the configured work limit runs out; never returns a partial answer.
+    Trial division by the candidates coprime to 30 up to
+    min(isqrt(n), budget.trial_bound), a block of them per gcd, then
+    Miller-Rabin plus Pollard-Brent for any remaining cofactor.  Raises
+    BudgetExceeded when the configured work limit runs out; never returns a
+    partial answer.
     """
     if n < 1:
         raise InvalidInput(f"factorize requires n >= 1, got {n}")
@@ -247,19 +289,25 @@ def factorize(n: int, budget: FactorBudget | None = None) -> Factorization:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # candidates coprime to 30
-    i = 0
-    while d * d <= n and d <= budget.trial_bound:
-        meter.charge(1, n)
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            factors[d] = e
-        d += wheel[i]
-        i = (i + 1) % 8
+    j = 0  # index of the first untried wheel candidate
+    while (end := _candidates_upto(min(math.isqrt(n), budget.trial_bound))) > j:
+        stop = min(end, (j // _BLOCK + 1) * _BLOCK)
+        if math.gcd(n, _block_product(j // _BLOCK)) == 1:
+            meter.charge(stop - j, n)  # no candidate of the block divides n
+            j = stop
+        else:
+            while j < stop:
+                d = _candidate(j)
+                meter.charge(1, n)
+                if n % d == 0:
+                    e = 0
+                    while n % d == 0:
+                        n //= d
+                        e += 1
+                    factors[d] = e
+                    stop = min(stop, _candidates_upto(math.isqrt(n)))
+                j += 1
+    d = _candidate(j)
 
     rng = random.Random(0xC0FFEE)  # fixed seed: factorize must be deterministic
     stack = [n] if n > 1 else []

@@ -179,3 +179,139 @@ def test_jacobi_matches_eulers_criterion():
         for a in range(p):
             euler = pow(a, (p - 1) // 2, p)
             assert arith._jacobi(a, p) == (-1 if euler == p - 1 else euler), (a, p)
+
+
+def _wheel_loop_factorize(n, budget):
+    """factorize with the per-candidate wheel loop it used before block gcds."""
+    if n == 1:
+        return Factorization(())
+    meter = arith._WorkMeter(budget.work_limit)
+    factors = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    d = 7
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    while d * d <= n and d <= budget.trial_bound:
+        meter.left -= 1  # meter.charge(1, n), inlined to keep the oracle fast
+        if meter.left < 0:
+            meter.charge(0, n)
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors[d] = e
+        d += wheel[i]
+        i = (i + 1) % 8
+    rng = random.Random(0xC0FFEE)
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if m < d * d or arith._is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        f = arith._brent_rho(m, meter, rng)
+        stack.append(f)
+        stack.append(m // f)
+    return Factorization(tuple(sorted(factors.items())))
+
+
+def _outcome(f, n, budget):
+    try:
+        return f(n, budget)
+    except BudgetExceeded as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_wheel_loop(n, budget):
+    expected = _outcome(_wheel_loop_factorize, n, budget)
+    assert _outcome(factorize, n, budget) == expected, (n, budget)
+    return expected
+
+
+_TRIAL_BOUNDS = (6, 7, 49, 100, 12345, 1 << 16, 70000)
+_WORK_LIMITS = (0, 1, 50, 1000, 1 << 23)
+
+
+def test_block_gcd_trial_division_matches_the_wheel_loop():
+    rng = random.Random(11)
+    straddling = [p for p in range((1 << 16) - 1500, (1 << 16) + 1500) if is_prime_trial(p)]
+    small = [p for p in range(7, 2000) if is_prime_trial(p)]
+    for case in range(20_000):
+        kind = case % 3
+        if kind == 0:
+            n = rng.randrange(1, 10**6)
+        elif kind == 1:
+            n = rng.randrange(1, 10**14)
+        else:
+            n = rng.choice(straddling) ** rng.randrange(1, 3) * rng.choice(straddling)
+            n *= rng.choice(small) ** rng.randrange(0, 3) * rng.randrange(1, 100)
+        _assert_matches_wheel_loop(n, FactorBudget(rng.choice(_TRIAL_BOUNDS),
+                                                   rng.choice(_WORK_LIMITS)))
+
+
+def _wheel_index(c):
+    """Index of the wheel candidate c among 7, 11, 13, ... (coprime to 30)."""
+    return sum(1 for x in range(7, c) if math.gcd(x, 30) == 1)
+
+
+def test_prime_factor_at_a_block_edge():
+    block = arith._BLOCK
+    ends = []
+    for b in range(arith._candidates_upto(1 << 16) // block):  # blocks below the default bound
+        first, last = arith._candidate(b * block), arith._candidate((b + 1) * block - 1)
+        ends += [c for c in (first, last) if is_prime_trial(c)]
+    assert len(ends) >= 10
+    for c in ends:
+        for n in (c, c * c, 2 * c * 1_000_003, c * 65537**2, c**3 * (c + 2)):
+            f = _assert_matches_wheel_loop(n, FactorBudget(work_limit=1 << 23))
+            assert dict(f.factors)[c] >= 1
+
+
+def test_trial_bound_on_between_and_inside_blocks():
+    block = arith._BLOCK
+    bounds = [arith._candidate(j) for j in (block - 1, block, 3 * block + block // 2)]
+    bounds += [c + 1 for c in bounds] + [c - 1 for c in bounds]
+    n = 1_000_000_007**2 * 1_000_003  # no factor <= any bound: the trial stage runs to it
+    for tb in bounds:
+        work = _wheel_index(tb + 1)  # candidates <= tb, each charged once
+        assert arith._candidates_upto(tb) == work
+        for limit in (work - 1, work, 1 << 23):
+            _assert_matches_wheel_loop(n, FactorBudget(tb, limit))
+        assert factorize(1_000_003 * 1_000_033 ** 2, FactorBudget(tb, 1 << 23)).factors == (
+            (1_000_003, 1), (1_000_033, 2))
+        prime = 10**12 + 39
+        assert factorize(prime, FactorBudget(tb, work)).factors == ((prime, 1),)
+        with pytest.raises(BudgetExceeded):
+            factorize(prime, FactorBudget(tb, work - 1))
+
+
+def test_square_of_the_first_candidate_above_the_trial_bound():
+    # the trial stage ends with d = q, so q*q is not taken for a prime by m < d*d
+    for q in (11, 101, 967, arith._candidate(3 * arith._BLOCK + 5), 65537):
+        assert is_prime_trial(q)
+        below = max(c for c in range(q) if c < 7 or math.gcd(c, 30) == 1)
+        for tb in range(below, q):
+            budget = FactorBudget(tb, 1 << 23)
+            assert _assert_matches_wheel_loop(q * q, budget).factors == ((q, 2),)
+            assert factorize(q * q * 1_000_003, budget).factors == ((q, 2), (1_000_003, 1))
+
+
+def test_cofactor_drops_below_d_squared_inside_a_block():
+    block = arith._BLOCK
+    j = 2 * block + block // 2
+    p = next(c for c in map(arith._candidate, range(j, 3 * block)) if is_prime_trial(c))
+    q = next(c for c in range(p + 2, p * p) if is_prime_trial(c))
+    r = next(c for c in range(p * p + 1, 2 * p * p) if is_prime_trial(c))
+    work = _wheel_index(p) + 1  # the walk stops right after p: q < next candidate^2
+    for n, factors in ((p * q, ((p, 1), (q, 1))), (p**2 * r, ((p, 2), (r, 1)))):
+        assert factorize(n, FactorBudget(work_limit=work)).factors == factors
+        with pytest.raises(BudgetExceeded):
+            factorize(n, FactorBudget(work_limit=work - 1))
+        for limit in (work - 1, work, 1 << 23):
+            _assert_matches_wheel_loop(n, FactorBudget(work_limit=limit))

@@ -1,6 +1,8 @@
-"""The arithmetic of tools/bench_pairs.py: quartiles, pair wins and the gain rule."""
+"""tools/bench_pairs.py: quartiles, pair wins, the gain rule and each side's bytecode."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,36 @@ def test_direction_and_bound_follow_the_declared_metric():
     assert not m["within_bound"]  # 29% lower, bound 25%
     m = bench_pairs.summarize(runs("rate", change), runs("rate", parent), HIGHER)["rate"]
     assert m["change_won_pairs"] == 3 and m["gain"] and m["within_bound"]
+
+
+def test_each_side_runs_with_its_own_empty_pycache_prefix(monkeypatch, tmp_path):
+    first_seen = {}  # (tree, pycache prefix) -> the prefix's contents at its first run
+    real_run = subprocess.run
+
+    def fake_run(cmd, cwd=None, env=None, **kwargs):
+        if cmd[1:2] != ["bench/run.py"]:  # platform's own `uname -p`
+            return real_run(cmd, cwd=cwd, env=env, **kwargs)
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert "PYTHONDONTWRITEBYTECODE" not in env  # else every process recompiles
+        first_seen.setdefault((Path(cwd), prefix), sorted(prefix.iterdir()))
+        (prefix / f"written-by-{cmd[5]}.pyc").write_bytes(b"")  # as Python would
+        metrics = {"metrics": {name: {"value": 1.0} for name in
+                               ("setup_s", "run_s", "op_p50_ms", "peak_rss_mb")},
+                   "attempted": 1, "failed": 0, "correct": 1}
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(metrics), stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "bench_differs", lambda rev: [])
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--rev", "HEAD", "--workload", "certify", "--pairs", "2",
+                             "--seconds", "1", "--out", str(out)]) == 0
+
+    trees = {tree for tree, _ in first_seen}
+    prefixes = {prefix for _, prefix in first_seen}
+    assert bench_pairs.ROOT in trees and len(trees) == 2
+    assert len(prefixes) == 2 and len(first_seen) == 2  # one prefix per side
+    assert all(contents == [] for contents in first_seen.values())
+    assert not any(bench_pairs.ROOT in prefix.parents for prefix in prefixes)

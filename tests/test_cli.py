@@ -294,6 +294,7 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "--factor-work", "1000", "--trial-bound", "100", "test", big)
     assert code == 2
     assert "work limit" in err
+    assert "raise --factor-work (FactorBudget.work_limit)" in err
 
     # domain errors: exit 2
     code, _, err = run_cli(capsys, "decompose", "12")

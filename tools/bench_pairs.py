@@ -8,9 +8,13 @@ temporary directory, so the parent side runs exactly what was committed
 and the repository's own metadata is left untouched.  For each workload,
 pair i runs `bench/run.py --seed S+i` once in each tree; even pairs run the
 parent first, odd pairs the working tree, so a steady drift of the
-machine's speed falls on both sides alike.  The tool refuses to run when
-`bench/` or `BENCHMARK.json` differ between the two trees: both sides must
-be measured by the same benchmark.
+machine's speed falls on both sides alike.  Each side keeps its bytecode
+in its own PYTHONPYCACHEPREFIX directory, empty when the tool starts and
+written even under PYTHONDONTWRITEBYTECODE, so neither side reads a
+`__pycache__` the other lacks and both run warm after their first
+process.  The tool refuses to run when `bench/` or `BENCHMARK.json`
+differ between the two trees: both sides must be measured by the same
+benchmark.
 
 The output file holds, per workload and end-to-end metric, each side's
 runs, median and quartiles (inclusive method), the pairs the working tree
@@ -74,11 +78,16 @@ def src_digest(tree: Path) -> str:
     return h.hexdigest()
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, pycache: Path) -> dict:
+    """One bench/run.py in tree, its bytecode read from and written to pycache,
+    never to the tree's own __pycache__ directories."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    # Written, or every process of a side would compile the standard library too.
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=tree, capture_output=True, text=True)
+        cwd=tree, capture_output=True, text=True, env=env)
     if proc.returncode:
         raise SystemExit(f"error: bench/run.py failed in {tree}:\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -154,7 +163,11 @@ def main(argv=None) -> int:
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_tree = Path(tmp)
+        parent_tree = Path(tmp) / "parent"
+        trees = {"parent": parent_tree, "change": ROOT}
+        pycaches = {side: Path(tmp) / f"pycache-{side}" for side in trees}
+        for path in (parent_tree, *pycaches.values()):
+            path.mkdir()
         extract(rev, parent_tree)
         result["parent"]["src_sha256"] = src_digest(parent_tree)
         result["change"]["src_sha256"] = src_digest(ROOT)
@@ -164,8 +177,7 @@ def main(argv=None) -> int:
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    tree = parent_tree if side == "parent" else ROOT
-                    run = run_bench(tree, workload, seed, args.seconds)
+                    run = run_bench(trees[side], workload, seed, args.seconds, pycaches[side])
                     runs[side].append(run)
                     print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} {side}: "
                           f"run_s {run['metrics']['run_s']['value']:.4g}", file=sys.stderr)
