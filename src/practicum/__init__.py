@@ -12,6 +12,7 @@ from .arith import (
     FactorBudget,
     Factorization,
     crt_solve,
+    factor_budget,
     factorize,
     prime_stream,
     primes_upto,

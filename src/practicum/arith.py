@@ -1,12 +1,13 @@
 """Exact integer arithmetic substrate.
 
 Factorization (trial division + Pollard-Brent behind an explicit work
-budget; the trial stage tests blocks of 256 wheel candidates with one gcd
-each and walks only a block that shares a factor with n), divisor sums,
-p-adic valuations, a CRT solver that accepts non-coprime moduli and the two
-ways primes are produced: prime_stream walks 2, 3, 4, ... through the
-primality test _is_prime (Miller-Rabin, proven below psi_13 ~ 3.3 * 10^24,
-Baillie-PSW above), and primes_upto sieves a numpy prime table.  Everything here works on arbitrary-precision ints; only
+budget, set for a scope by factor_budget; the trial stage tests blocks of
+256 wheel candidates with one gcd each and walks only a block that shares a
+factor with n), divisor sums, p-adic valuations, a CRT solver that accepts
+non-coprime moduli and the two ways primes are produced: prime_stream walks
+2, 3, 4, ... through the primality test _is_prime (Miller-Rabin, proven
+below psi_13 ~ 3.3 * 10^24, Baillie-PSW above), and primes_upto sieves a
+numpy prime table.  Everything here works on arbitrary-precision ints; only
 the prime table is restricted to machine-word sizes.
 """
 
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -49,6 +52,26 @@ class FactorBudget:
 
 
 DEFAULT_BUDGET = FactorBudget()
+
+# The budget factorize() runs under.  It crosses every layer between a
+# command and the factorizations it causes, none of which owns it, so it is
+# set for a scope rather than passed down.
+_budget: ContextVar[FactorBudget] = ContextVar("factor_budget", default=DEFAULT_BUDGET)
+
+
+@contextmanager
+def factor_budget(budget: FactorBudget) -> Iterator[None]:
+    """Make every factorize() inside the with block run under budget.
+
+    On exit the budget in force before the block is restored, also when the
+    block raises, so blocks nest.  The budget is a context variable: a new
+    thread starts with DEFAULT_BUDGET, an asyncio task with its creator's.
+    """
+    token = _budget.set(budget)
+    try:
+        yield
+    finally:
+        _budget.reset(token)
 
 
 @dataclass(frozen=True)
@@ -268,20 +291,21 @@ def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
         # cycle degenerated; retry with a fresh polynomial
 
 
-def factorize(n: int, budget: FactorBudget | None = None) -> Factorization:
-    """Canonical factorization of n >= 1.
+def factorize(n: int) -> Factorization:
+    """Canonical factorization of n >= 1, under the budget in force.
 
-    Trial division by the candidates coprime to 30 up to
-    min(isqrt(n), budget.trial_bound), a block of them per gcd, then
-    Miller-Rabin plus Pollard-Brent for any remaining cofactor.  Raises
-    BudgetExceeded when the configured work limit runs out; never returns a
+    The budget is the one set by the innermost enclosing factor_budget
+    block, else DEFAULT_BUDGET.  Trial division by the candidates coprime to
+    30 up to min(isqrt(n), budget.trial_bound), a block of them per gcd,
+    then Miller-Rabin plus Pollard-Brent for any remaining cofactor.  Raises
+    BudgetExceeded when the budget's work limit runs out; never returns a
     partial answer.
     """
     if n < 1:
         raise InvalidInput(f"factorize requires n >= 1, got {n}")
     if n == 1:
         return Factorization(())
-    budget = budget or DEFAULT_BUDGET
+    budget = _budget.get()
     meter = _WorkMeter(budget.work_limit)
 
     factors: dict[int, int] = {}

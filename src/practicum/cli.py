@@ -21,7 +21,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .arith import FactorBudget
+from .arith import DEFAULT_BUDGET, FactorBudget, factor_budget
 from .errors import (
     ClassificationMismatch,
     FalsificationSignal,
@@ -29,6 +29,7 @@ from .errors import (
     PracticumError,
 )
 from .practical import (
+    DEFAULT_ORACLE_BOUND,
     MultiplierCertificate,
     PracticalityVerdict,
     is_practical,
@@ -72,10 +73,10 @@ _GLOBAL_FLAGS = {
     "format": "json",
     "cache-dir": str(Path.home() / ".cache" / "practicum"),
     "sieve-limit": 10**6,
-    "oracle-bound": 10**6,
+    "oracle-bound": DEFAULT_ORACLE_BOUND,
     "scan-bound": 10**5,
-    "trial-bound": 1 << 16,
-    "factor-work": 1 << 23,
+    "trial-bound": DEFAULT_BUDGET.trial_bound,
+    "factor-work": DEFAULT_BUDGET.work_limit,
 }
 _FORMATS = ("json", "csv", "plain")
 
@@ -96,6 +97,9 @@ def _resolve_globals(args: argparse.Namespace) -> None:
             raise PracticumError(f"unknown config key: {key}")
         kind = type(_GLOBAL_FLAGS[key])
         try:
+            if kind is int and (isinstance(value, bool) or isinstance(value, float)
+                                and not value.is_integer()):
+                raise TypeError  # int() would take true for 1 and truncate 100.9
             config[key] = kind(value)
         except (TypeError, ValueError):
             raise PracticumError(f"config key {key}: {value!r} is not {kind.__name__}") from None
@@ -198,7 +202,7 @@ def _get_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path]:
 
 
 def _cmd_test(args) -> dict:
-    verdict = is_practical(args.n, FactorBudget(args.trial_bound, args.factor_work))
+    verdict = is_practical(args.n)
     out = _json(verdict)
     if args.verify:
         if is_practical_oracle(args.n, args.oracle_bound) != verdict.practical:
@@ -522,7 +526,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _resolve_globals(args)
-        payload = args.func(args)
+        with factor_budget(FactorBudget(args.trial_bound, args.factor_work)):
+            payload = args.func(args)
         emit(payload, args.format)
         return 0
     except FalsificationSignal as exc:

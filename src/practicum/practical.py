@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .arith import FactorBudget, Factorization, factorize, sigma_prime_power
+from .arith import Factorization, factorize, sigma_prime_power
 from .errors import BoundViolated, InvalidInput, OracleBoundExceeded
 
 DEFAULT_ORACLE_BOUND = 10**6
@@ -113,14 +113,15 @@ def practical_from_factorization(f: Factorization, n: int | None = None) -> Prac
     return PracticalityVerdict(n, True, chain=tuple(chain))
 
 
-def is_practical(n: int, budget: FactorBudget | None = None) -> PracticalityVerdict:
+def is_practical(n: int) -> PracticalityVerdict:
     """Decide practicality of n >= 1; the verdict carries replayable evidence.
 
-    Propagates BudgetExceeded from factorize for n beyond the work limit.
+    n is factored under the budget in force (see arith.factor_budget), and
+    BudgetExceeded from factorize propagates when its work limit runs out.
     """
     if n < 1:
         raise InvalidInput(f"practicality is defined for n >= 1, got {n}")
-    return practical_from_factorization(factorize(n, budget), n)
+    return practical_from_factorization(factorize(n), n)
 
 
 def is_practical_quick(n: int) -> bool:
@@ -174,7 +175,9 @@ def is_practical_oracle(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     if n < 1:
         raise InvalidInput(f"oracle is defined for n >= 1, got {n}")
     if n > bound:
-        raise OracleBoundExceeded(f"oracle bound {bound} exceeded by n = {n}")
+        raise OracleBoundExceeded(
+            f"oracle bound {bound} exceeded by n = {n}: raise --oracle-bound (bound)"
+        )
     divisors = []
     for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:

@@ -134,7 +134,8 @@ def ap_practical_stream(
             if len(found) == count:
                 return found
     raise ScanBudgetExceeded(
-        f"only {len(found)} practical terms of {a}n+{b} within n <= {n_limit}"
+        f"only {len(found)} practical terms of {a}n+{b} within n <= {n_limit}: "
+        "raise --scan-bound (n_limit)"
     )
 
 
@@ -210,5 +211,5 @@ def nonpractical_witness(
         if v >= 1 and not is_practical_quick(v):
             return PolyWitness(n=n, value=v, verdict=is_practical(v))
     raise SearchExhausted(
-        f"no non-practical value with n <= {search_bound} (raise the bound)"
+        f"no non-practical value with n <= {search_bound}: raise --bound (search_bound)"
     )

@@ -46,7 +46,15 @@ INFINITELY_MANY = "infinitely_many"
 FINITELY_MANY = "finitely_many"
 
 DEFAULT_QUAD_SCAN = 10**4
-DEFAULT_PRIME_CAP = 100
+
+# Caps on the m_q walk and the witness construction.  Running out of primes
+# or rounds raises IterationCap, a failure rather than an outcome.  They are
+# read at call time, so a test can lower one.
+_PRIME_CAP = 100         # primes walked looking for an infinite m_q
+_ROOT_CAP = 8            # smallest roots kept per prime power dividing D
+_WITNESS_ROUNDS = 60     # escalation rounds of quad_constructive_witness
+_T_SCAN_CAP = 20000      # primes scanned for extra root primes t
+_COMBO_CAP = 128         # root combinations tried per round
 
 
 @dataclass(frozen=True)
@@ -219,25 +227,23 @@ def mq(q: QuadraticPoly, p: int) -> MqResult:
     return MqResult(p=p, exponent=v + exponent, content_val=v, witness=witness)
 
 
-def _mq_walk(q: QuadraticPoly, prime_cap: int = DEFAULT_PRIME_CAP) -> list[MqResult]:
+def _mq_walk(q: QuadraticPoly) -> list[MqResult]:
     """m_q at 2, 3, 5, ... up to and including the least prime with infinite
-    m_q.  Some prime always qualifies; running past prime_cap primes raises
+    m_q.  Some prime always qualifies; running past _PRIME_CAP primes raises
     IterationCap and should be treated as a failure, not an outcome."""
     walk = []
-    for p in islice(prime_stream(), prime_cap):
+    for p in islice(prime_stream(), _PRIME_CAP):
         walk.append(mq(q, p))
         if walk[-1].infinite:
             return walk
     raise IterationCap(
-        f"no prime with infinite m_q among the first {prime_cap} primes for {q}"
+        f"no prime with infinite m_q among the first {_PRIME_CAP} primes for {q}"
     )
 
 
-def least_infinite_prime(
-    q: QuadraticPoly, prime_cap: int = DEFAULT_PRIME_CAP
-) -> tuple[int, int, tuple[int, ...]]:
+def least_infinite_prime(q: QuadraticPoly) -> tuple[int, int, tuple[int, ...]]:
     """(r, p_r, m_q at the earlier primes) for the least p_r with infinite m_q."""
-    walk = _mq_walk(q, prime_cap)
+    walk = _mq_walk(q)
     return len(walk), walk[-1].p, tuple(res.exponent for res in walk[:-1])
 
 
@@ -285,7 +291,8 @@ def quad_practical_stream(
     values = sorted(hits)[:count]
     if len(values) < count and classify_quadratic(q).case == INFINITELY_MANY:
         raise ScanBudgetExceeded(
-            f"only {len(values)} practical values of {q} within n <= {n_limit}"
+            f"only {len(values)} practical values of {q} within n <= {n_limit}: "
+            "raise --scan-bound (n_limit)"
         )
     return values
 
@@ -341,10 +348,8 @@ def _roots_mod_prime(q: QuadraticPoly, p: int) -> list[int]:
     return sorted({(-b + s) * inv2a % p, (-b - s) * inv2a % p})
 
 
-def _roots_mod_prime_power(
-    q: QuadraticPoly, p: int, k: int, cap: int = 8
-) -> list[int] | None:
-    """The `cap` smallest roots of q mod p^k, ascending; [] if none.
+def _roots_mod_prime_power(q: QuadraticPoly, p: int, k: int) -> list[int] | None:
+    """The _ROOT_CAP smallest roots of q mod p^k, ascending; [] if none.
 
     Returns None when the congruence is vacuous (the content alone covers
     p^k), in which case divisibility holds for every n.  The roots are
@@ -359,8 +364,8 @@ def _roots_mod_prime_power(
         n
         for rho, step, level in _class_split(q, p, k)
         if level == k
-        for n in islice(range(rho, top, step), cap)
-    )[:cap]
+        for n in islice(range(rho, top, step), _ROOT_CAP)
+    )[:_ROOT_CAP]
 
 
 def _class_split(q: QuadraticPoly, p: int, k: int):
@@ -386,27 +391,21 @@ def _class_split(q: QuadraticPoly, p: int, k: int):
                          rho + r * step, step * p, level))
 
 
-def _t_prime_candidates(q: QuadraticPoly, p_r: int, scan_cap: int):
-    """Primes t > p_r with q solvable mod t."""
-    for t in islice(prime_stream(), scan_cap):
+def _t_prime_candidates(q: QuadraticPoly, p_r: int):
+    """Primes t > p_r with q solvable mod t, among the first _T_SCAN_CAP."""
+    for t in islice(prime_stream(), _T_SCAN_CAP):
         if t > p_r and _roots_mod_prime(q, t):
             yield t
 
 
-def quad_constructive_witness(
-    q: QuadraticPoly,
-    threshold: int,
-    max_rounds: int = 60,
-    t_scan_cap: int = 20000,
-    combo_cap: int = 128,
-) -> QuadWitness:
+def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
     """A practical value q(n) >= threshold, built rather than scanned.
 
     Assembles a divisor D from the finite prime powers, p_r^k with
     p_r^k > threshold, and (when needed) extra primes with roots; a CRT
     solution n makes q(n) divisible by D, and q(n) is certified practical
     once q(n)/D <= sigma(D) + 1.  Root choices steer where n lands inside
-    [1, D], so up to combo_cap root combinations are tried per round,
+    [1, D], so up to _COMBO_CAP root combinations are tried per round,
     keeping the multiplier as small as possible; escalation then alternates
     between raising k and adding root primes t, which monotonically raises
     sigma(D)/D.
@@ -425,9 +424,9 @@ def quad_constructive_witness(
     while p_r**k <= threshold:
         k += 1
 
-    t_iter = _t_prime_candidates(q, p_r, t_scan_cap)
+    t_iter = _t_prime_candidates(q, p_r)
     t_list: list[int] = []
-    for round_no in range(max_rounds):
+    for round_no in range(_WITNESS_ROUNDS):
         factors = sorted(prefix + [(p_r, k)] + [(t, 1) for t in t_list])
         mod_verdict = practical_from_factorization(Factorization(tuple(factors)))
         divisor = mod_verdict.n
@@ -446,7 +445,7 @@ def quad_constructive_witness(
                 f"missing root for a divisor of {q} despite its m_q value"
             )
         best: tuple[int, int, int] | None = None
-        for combo in islice(product(*options), combo_cap):
+        for combo in islice(product(*options), _COMBO_CAP):
             n_star, period = crt_solve(combo)
             n = n_star if n_star >= 1 else period
             while q(n) <= 0:
@@ -482,5 +481,5 @@ def quad_constructive_witness(
             else:
                 t_list.append(nxt)
     raise IterationCap(
-        f"witness construction for {q} did not converge in {max_rounds} rounds"
+        f"witness construction for {q} did not converge in {_WITNESS_ROUNDS} rounds"
     )

@@ -5,12 +5,14 @@ import pytest
 
 from practicum import arith
 from practicum import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     FactorBudget,
     Factorization,
     InconsistentSystem,
     InvalidInput,
     crt_solve,
+    factor_budget,
     factorize,
     prime_stream,
     primes_upto,
@@ -38,10 +40,15 @@ def test_factorize_roundtrip_random():
         assert primes == sorted(primes)
 
 
+def _factorize_under(n, budget):
+    with factor_budget(budget):
+        return factorize(n)
+
+
 def test_factorize_second_stage():
     # both factors above the trial bound: forces the rho stage
     p, q = 1_000_003, 1_000_033
-    f = factorize(p * q, FactorBudget(trial_bound=10**4, work_limit=1 << 23))
+    f = _factorize_under(p * q, FactorBudget(trial_bound=10**4, work_limit=1 << 23))
     assert f.factors == ((p, 1), (q, 1))
     f = factorize(p * p * q)
     assert f.factors == ((p, 2), (q, 1))
@@ -50,7 +57,27 @@ def test_factorize_second_stage():
 def test_factorize_budget_exceeded():
     n = (2**61 - 1) * (2**89 - 1)
     with pytest.raises(BudgetExceeded):
-        factorize(n, FactorBudget(trial_bound=100, work_limit=1000))
+        _factorize_under(n, FactorBudget(trial_bound=100, work_limit=1000))
+
+
+def test_factor_budget_restores_the_outer_budget():
+    n = 1_000_003 * 1_000_033  # 10 units of work do not reach its factors
+    factors = ((1_000_003, 1), (1_000_033, 1))
+    tight, loose = FactorBudget(100, 10), FactorBudget(100, 1 << 23)
+    with factor_budget(tight):
+        with pytest.raises(BudgetExceeded):
+            factorize(n)
+    assert factorize(n).factors == factors  # after a normal exit
+    with pytest.raises(BudgetExceeded):
+        with factor_budget(tight):
+            factorize(n)
+    assert factorize(n).factors == factors  # after an exception
+    with factor_budget(tight):
+        with factor_budget(loose):
+            assert factorize(n).factors == factors
+        with pytest.raises(BudgetExceeded):  # the inner exit restored tight
+            factorize(n)
+    assert arith._budget.get() is DEFAULT_BUDGET
 
 
 def test_factorize_rejects_nonpositive():
@@ -230,7 +257,7 @@ def _outcome(f, n, budget):
 
 def _assert_matches_wheel_loop(n, budget):
     expected = _outcome(_wheel_loop_factorize, n, budget)
-    assert _outcome(factorize, n, budget) == expected, (n, budget)
+    assert _outcome(_factorize_under, n, budget) == expected, (n, budget)
     return expected
 
 
@@ -283,12 +310,12 @@ def test_trial_bound_on_between_and_inside_blocks():
         assert arith._candidates_upto(tb) == work
         for limit in (work - 1, work, 1 << 23):
             _assert_matches_wheel_loop(n, FactorBudget(tb, limit))
-        assert factorize(1_000_003 * 1_000_033 ** 2, FactorBudget(tb, 1 << 23)).factors == (
-            (1_000_003, 1), (1_000_033, 2))
+        f = _factorize_under(1_000_003 * 1_000_033 ** 2, FactorBudget(tb, 1 << 23))
+        assert f.factors == ((1_000_003, 1), (1_000_033, 2))
         prime = 10**12 + 39
-        assert factorize(prime, FactorBudget(tb, work)).factors == ((prime, 1),)
+        assert _factorize_under(prime, FactorBudget(tb, work)).factors == ((prime, 1),)
         with pytest.raises(BudgetExceeded):
-            factorize(prime, FactorBudget(tb, work - 1))
+            _factorize_under(prime, FactorBudget(tb, work - 1))
 
 
 def test_square_of_the_first_candidate_above_the_trial_bound():
@@ -299,7 +326,8 @@ def test_square_of_the_first_candidate_above_the_trial_bound():
         for tb in range(below, q):
             budget = FactorBudget(tb, 1 << 23)
             assert _assert_matches_wheel_loop(q * q, budget).factors == ((q, 2),)
-            assert factorize(q * q * 1_000_003, budget).factors == ((q, 2), (1_000_003, 1))
+            assert _factorize_under(q * q * 1_000_003, budget).factors == (
+                (q, 2), (1_000_003, 1))
 
 
 def test_cofactor_drops_below_d_squared_inside_a_block():
@@ -310,8 +338,8 @@ def test_cofactor_drops_below_d_squared_inside_a_block():
     r = next(c for c in range(p * p + 1, 2 * p * p) if is_prime_trial(c))
     work = _wheel_index(p) + 1  # the walk stops right after p: q < next candidate^2
     for n, factors in ((p * q, ((p, 1), (q, 1))), (p**2 * r, ((p, 2), (r, 1)))):
-        assert factorize(n, FactorBudget(work_limit=work)).factors == factors
+        assert _factorize_under(n, FactorBudget(work_limit=work)).factors == factors
         with pytest.raises(BudgetExceeded):
-            factorize(n, FactorBudget(work_limit=work - 1))
+            _factorize_under(n, FactorBudget(work_limit=work - 1))
         for limit in (work - 1, work, 1 << 23):
             _assert_matches_wheel_loop(n, FactorBudget(work_limit=limit))

@@ -257,6 +257,8 @@ def test_bad_config_values_exit_2(capsys, tmp_path):
         '{"format": "json",': "config file",
         '[["format", "plain"]]': "JSON object",
         '{"scan-bound": 0}': "scan-bound must be positive",
+        '{"trial-bound": 100.9}': "trial-bound",
+        '{"factor-work": true}': "factor-work",
     }
     cfg = tmp_path / "cfg.json"
     for text, message in cases.items():
@@ -296,6 +298,14 @@ def test_exit_codes(capsys):
     assert "work limit" in err
     assert "raise --factor-work (FactorBudget.work_limit)" in err
 
+    # scan and search limits: exit 2, naming the flag that raises them
+    for argv in (("--scan-bound", "10", "ap", "stream", "3", "5", "--count", "100"),
+                 ("--scan-bound", "30", "quad", "stream", "1", "1", "2", "--count", "500")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "raise --scan-bound (n_limit)" in err, argv
+    code, _, err = run_cli(capsys, "poly", "witness", "0,6", "--bound", "4")
+    assert code == 2 and "raise --bound (search_bound)" in err
+
     # domain errors: exit 2
     code, _, err = run_cli(capsys, "decompose", "12")
     assert code == 2
@@ -304,7 +314,23 @@ def test_exit_codes(capsys):
 
     # oracle bound: exit 2
     code, _, err = run_cli(capsys, "--oracle-bound", "100", "oracle", "101")
-    assert code == 2
+    assert code == 2 and "raise --oracle-bound (bound)" in err
+
+
+# 1000003 * 1000033: no factor within 10 units of factoring work
+_SEMIPRIME = "1000036000099"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ap", "classify", _SEMIPRIME, _SEMIPRIME],
+    ["ap", "stream", _SEMIPRIME, _SEMIPRIME, "--count", "1"],
+    ["ap", "witness", _SEMIPRIME, _SEMIPRIME, "--min", "5"],
+    ["poly", "witness", f"0,{_SEMIPRIME}"],
+], ids=" ".join)
+def test_factor_work_reaches_every_command_that_factors(capsys, argv):
+    code, out, err = run_cli(capsys, "--factor-work", "10", *argv)
+    assert (code, out) == (2, "")
+    assert "raise --factor-work" in err
 
 
 def test_uncaught_exception_exits_3(capsys, monkeypatch):

@@ -14,7 +14,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Every public name of `practicum` before its bitmap API became lazy.
+# Every public name of `practicum`: those it had before its bitmap API became
+# lazy, and factor_budget.
 EXPORTS = (
     "APClassification", "APWitness", "BoundViolated", "BudgetExceeded",
     "ClassificationMismatch", "DEFAULT_BUDGET", "FactorBudget", "Factorization",
@@ -27,13 +28,13 @@ EXPORTS = (
     "SquareDecomposition", "StewartWitness", "ap_constructive_witness",
     "ap_practical_stream", "arith", "certify_product", "classify_ap",
     "classify_quadratic", "count_practicals", "crt_solve",
-    "decompose_square_plus_practical", "density_report", "errors", "factorize",
-    "family_member", "family_spec", "family_stream", "goldbach_pair", "is_practical",
-    "is_practical_oracle", "is_practical_quick", "largest_practical_divisor",
-    "least_infinite_prime", "mq", "nonpractical_witness", "palindromic_practicals",
-    "power2_practical", "practical", "practical_from_factorization",
-    "practical_triples", "prime_stream", "primes_upto", "progressions",
-    "quad_constructive_witness", "quad_practical_stream", "quadratics",
+    "decompose_square_plus_practical", "density_report", "errors", "factor_budget",
+    "factorize", "family_member", "family_spec", "family_stream", "goldbach_pair",
+    "is_practical", "is_practical_oracle", "is_practical_quick",
+    "largest_practical_divisor", "least_infinite_prime", "mq", "nonpractical_witness",
+    "palindromic_practicals", "power2_practical", "practical",
+    "practical_from_factorization", "practical_triples", "prime_stream", "primes_upto",
+    "progressions", "quad_constructive_witness", "quad_practical_stream", "quadratics",
     "representations", "sieve", "sieve_practicals", "sigma", "sigma_prime_power",
     "sqrt_mod_power_of_two", "valuation", "verify_not_representable", "__version__",
 )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from practicum import quadratics
 from practicum import (
     InvalidInput,
     IterationCap,
@@ -134,13 +135,13 @@ SMALL_GRID = list(product(range(1, 5), range(-4, 5), range(-4, 5)))
 
 
 def test_roots_mod_prime_power_matches_exhaustive_scan():
-    cap = 8
+    cap = quadratics._ROOT_CAP
     for p in (2, 3, 5, 7, 11, 13):
         # the scaled copies put content divisible by p into every prime's grid
         for a, b, c in SMALL_GRID + [(p * a, p * b, p * c) for a, b, c in SMALL_GRID]:
             q = QuadraticPoly(a, b, c)
             for k in (1, 2, 3):
-                got = _roots_mod_prime_power(q, p, k, cap)
+                got = _roots_mod_prime_power(q, p, k)
                 if got is None:
                     assert q.content % p**k == 0, (q, p, k)
                     continue
@@ -243,12 +244,13 @@ def test_mq_content_decomposition_against_oracle():
                     assert res.exponent == lvl
 
 
-def test_least_infinite_prime_examples():
+def test_least_infinite_prime_examples(monkeypatch):
     assert least_infinite_prime(QuadraticPoly(1, 1, 2)) == (1, 2, ())
     assert least_infinite_prime(QuadraticPoly(1, 0, 1)) == (3, 5, (1, 0))
     assert least_infinite_prime(QuadraticPoly(1, 0, 3)) == (4, 7, (2, 1, 0))
+    monkeypatch.setattr(quadratics, "_PRIME_CAP", 2)
     with pytest.raises(IterationCap):
-        least_infinite_prime(QuadraticPoly(1, 0, 1), prime_cap=2)
+        least_infinite_prime(QuadraticPoly(1, 0, 1))
 
 
 def test_classify_anchors():
@@ -390,7 +392,8 @@ def test_roots_of_squares_mod_high_prime_powers_match_exhaustive_scan():
                 if got is None:
                     assert q.content % p**k == 0, (q, p, k)
                 else:
-                    assert got == _exhaustive_roots(a, b, c, p**k)[:8], (q, p, k)
+                    want = _exhaustive_roots(a, b, c, p**k)[:quadratics._ROOT_CAP]
+                    assert got == want, (q, p, k)
                 k += 1
     # n = 2^15 - 1 is a root of (n + 1)^2 mod 2^30, and the least one
     assert _roots_mod_prime_power(QuadraticPoly(1, 2, 1), 2, 30)[0] == 2**15 - 1
