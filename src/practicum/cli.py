@@ -35,35 +35,13 @@ from .practical import (
     is_practical,
     is_practical_oracle,
 )
-from .progressions import (
-    ap_constructive_witness,
-    ap_practical_stream,
-    classify_ap,
-    nonpractical_witness,
-)
-from .quadratics import (
-    FiniteWitness,
-    InfiniteWitness,
-    QuadraticPoly,
-    classify_quadratic,
-    mq,
-    quad_constructive_witness,
-    quad_practical_stream,
-)
-from .representations import (
-    decompose_square_plus_practical,
-    family_spec,
-    family_stream,
-    goldbach_pair,
-    palindromic_practicals,
-    practical_triples,
-    verify_not_representable,
-)
 
-# Imports are most of a short CLI process's time, so what only some commands
-# need (numpy, through `sieve`; `logging`; `traceback`) is imported inside the
-# function that uses it.
+# Imports are most of a short CLI process's time.  Every command needs the
+# modules above; each handler imports the rest of what it runs (progressions,
+# quadratics, representations, sieve and through it numpy; logging;
+# traceback), so a process loads only its own command's modules.
 if TYPE_CHECKING:
+    from .quadratics import QuadraticPoly
     from .sieve import PracticalBitmap
 
 # Global flags, name -> default: each is a `--name` flag and a config-file key
@@ -121,12 +99,12 @@ def _resolve_globals(args: argparse.Namespace) -> None:
 
 def _json(x):
     """JSON form of a library result: dataclass fields in declaration order,
-    tuples as lists.  Three shapes differ from that:
+    tuples as lists.  Two shapes differ from that (and the m_q witness, which
+    `_cmd_quad_mq` shapes):
 
     - a verdict shows `chain` when practical and `witness` when not;
     - a certificate carries "type": "certificate" and its `value`, and its
-      base evidence carries a type tag too (see `_evidence`);
-    - an m_q witness carries `kind` and only its own pair of valuations.
+      base evidence carries a type tag too (see `_evidence`).
     """
     if isinstance(x, (tuple, list)):
         return [_json(v) for v in x]
@@ -140,11 +118,6 @@ def _json(x):
             **_pick(x, "base", "multiplier", "bound", "bound_kind", "value"),
             "base_evidence": _evidence(x.base_evidence),
         }
-    if isinstance(x, FiniteWitness):
-        return {"kind": "finite", **_pick(x, "root", "empty_level")}
-    if isinstance(x, InfiniteWitness):
-        pair = ("val_q", "val_dq") if x.kind == "hensel" else ("val_lead", "val_lin")
-        return _pick(x, "kind", "root", "level", *pair)
     return _pick(x, *(f.name for f in fields(x)))
 
 
@@ -219,6 +192,8 @@ def _cmd_oracle(args) -> dict:
 
 def _cmd_sieve(args) -> dict:
     limit = args.limit if args.limit is not None else args.sieve_limit
+    if limit < 1:  # before the bitmap cache is touched
+        raise InvalidInput(f"sieve limit must be >= 1, got {limit}")
     bitmap, path = _get_bitmap(args, limit)
     if args.out:
         path = Path(args.out)
@@ -227,7 +202,10 @@ def _cmd_sieve(args) -> dict:
 
 
 def _cmd_count(args) -> dict:
-    bitmap, _ = _get_bitmap(args, max([args.x] + (args.report or [])))
+    bounds = [args.x] + (args.report or [])
+    if min(bounds) < 1:  # before the bitmap cache is touched
+        raise InvalidInput(f"x and every checkpoint must be >= 1, got {min(bounds)}")
+    bitmap, _ = _get_bitmap(args, max(bounds))
     out = {"x": args.x, "count": bitmap.count(args.x)}
     if args.report:
         from .sieve import density_report
@@ -238,53 +216,77 @@ def _cmd_count(args) -> dict:
 
 
 def _cmd_ap_classify(args) -> dict:
+    from .progressions import classify_ap
+
     # witness_prime and unique_value are shown only for the case they explain
     return {k: v for k, v in _json(classify_ap(args.a, args.b)).items() if v is not None}
 
 
 def _cmd_ap_stream(args) -> dict:
+    from .progressions import ap_practical_stream
+
     values = ap_practical_stream(args.a, args.b, args.count, args.scan_bound)
     return {"a": args.a, "b": args.b, "count": args.count, "values": values}
 
 
 def _cmd_ap_witness(args) -> dict:
+    from .progressions import ap_constructive_witness
+
     w = ap_constructive_witness(args.a, args.b, args.min)
     return {"a": args.a, "b": args.b, "threshold": args.min,
             **_pick(w, "n", "value", "prime", "k", "d", "verdict")}
 
 
 def _cmd_poly_witness(args) -> dict:
+    from .progressions import nonpractical_witness
+
     w = nonpractical_witness(args.coeffs, args.bound)
     return {"coefficients": args.coeffs, **_json(w)}
 
 
 def _quad(args) -> QuadraticPoly:
+    from .quadratics import QuadraticPoly
+
     return QuadraticPoly(args.a, args.b, args.c)
 
 
 def _cmd_quad_mq(args) -> dict:
+    from .quadratics import FiniteWitness, mq
+
     q = _quad(args)
     res = mq(q, args.p)
+    w = res.witness  # `kind` and only the witness's own pair of valuations
+    if isinstance(w, FiniteWitness):
+        witness = {"kind": "finite", **_pick(w, "root", "empty_level")}
+    else:
+        pair = ("val_q", "val_dq") if w.kind == "hensel" else ("val_lead", "val_lin")
+        witness = _pick(w, "kind", "root", "level", *pair)
     return {
         "poly": _json(q),
         "p": args.p,
         "m": "infinite" if res.infinite else res.exponent,
         "content_valuation": res.content_val,
-        "witness": _json(res.witness),
+        "witness": witness,
     }
 
 
 def _cmd_quad_classify(args) -> dict:
+    from .quadratics import classify_quadratic
+
     return _json(classify_quadratic(_quad(args)))
 
 
 def _cmd_quad_stream(args) -> dict:
+    from .quadratics import quad_practical_stream
+
     q = _quad(args)
     values = quad_practical_stream(q, args.count, args.scan_bound)
     return {"poly": _json(q), "count": args.count, "values": values}
 
 
 def _cmd_quad_witness(args) -> dict:
+    from .quadratics import quad_constructive_witness
+
     q = _quad(args)
     w = quad_constructive_witness(q, args.min)
     return {"poly": _json(q), "threshold": args.min,
@@ -297,6 +299,8 @@ def _oracle_confirms(args, n: int) -> bool:
 
 
 def _cmd_decompose(args) -> dict:
+    from .representations import decompose_square_plus_practical
+
     d = decompose_square_plus_practical(args.n)
     out = _json(d)
     if args.verify:
@@ -312,6 +316,8 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_family(args) -> dict:
+    from .representations import family_spec, family_stream, verify_not_representable
+
     spec = family_spec(args.j)
     members = family_stream(args.j, args.count)
     out = {**_pick(spec, "j", "residue", "modulus", "congruences", "square_exclusions"),
@@ -329,6 +335,8 @@ def _cmd_family(args) -> dict:
 
 
 def _cmd_goldbach(args) -> dict:
+    from .representations import goldbach_pair
+
     if args.n < 2 or args.n % 2:  # before the bitmap cache is touched
         raise InvalidInput(f"n must be even and >= 2, got {args.n}")
     bitmap, _ = _get_bitmap(args, max(args.n, 4))
@@ -343,11 +351,17 @@ def _cmd_goldbach(args) -> dict:
 
 
 def _cmd_triples(args) -> dict:
+    from .representations import practical_triples
+
+    if args.limit < 1:  # before the bitmap cache is touched
+        raise InvalidInput(f"limit must be >= 1, got {args.limit}")
     bitmap, _ = _get_bitmap(args, args.limit + 2)
     return {"limit": args.limit, "triples": practical_triples(args.limit, bitmap)}
 
 
 def _cmd_palindromic(args) -> dict:
+    from .representations import palindromic_practicals
+
     entries = palindromic_practicals(args.count)
     return {
         "count": args.count,

@@ -244,10 +244,11 @@ def goldbach_pair(
         from .sieve import sieve_practicals
 
         bitmap = sieve_practicals(n)
-    flags = bitmap.flags
+    bits = bitmap.bits
     for p1 in range(1, n // 2 + 1):
-        if flags[p1] and flags[n - p1]:
-            return p1, n - p1
+        p2 = n - p1
+        if bits[p1 >> 3] >> (p1 & 7) & 1 and bits[p2 >> 3] >> (p2 & 7) & 1:
+            return p1, p2
     raise NotFound(f"no practical pair sums to {n}")
 
 
@@ -257,15 +258,32 @@ def practical_triples(
     """All m <= limit with m-2, m, m+2 simultaneously practical."""
     if limit < 1:
         raise InvalidInput(f"limit must be >= 1, got {limit}")
-    import numpy as np
-
     if bitmap is None or bitmap.limit < limit + 2:
         from .sieve import sieve_practicals
 
         bitmap = sieve_practicals(limit + 2)
-    flags = bitmap.flags  # entry j of each slice is m - 2, m, m + 2 for m = j + 3
-    mask = flags[1 : limit - 1] & flags[3 : limit + 1] & flags[5 : limit + 3]
-    return (np.nonzero(mask)[0] + 3).tolist()
+    bits = bitmap.as_int(limit + 2)
+    return _set_bits(bits << 2 & bits & bits >> 2)  # bit m: m - 2, m and m + 2 practical
+
+
+# byte -> 1 when any of its bits is set, so bytes.find can skip zero bytes
+_NONZERO = bytes([0]) + bytes([1]) * 255
+
+
+def _set_bits(v: int) -> list[int]:
+    """Positions of the set bits of v >= 0, ascending."""
+    data = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    marks = data.translate(_NONZERO)
+    out = []
+    i = marks.find(1)
+    while i >= 0:
+        byte = data[i]
+        while byte:
+            low = byte & -byte
+            out.append(8 * i + low.bit_length() - 1)
+            byte ^= low
+        i = marks.find(1, i + 1)
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,13 @@ The walk holds one depth of nodes at a time as numpy arrays: searchsorted
 finds their child and leaf ranges, np.repeat expands them.  Counts add
 node counts and range lengths (no bitmap); the fill scatters both.
 
-The bitmap persists as a 16-byte header (magic "PRAC", version u32 LE,
-limit u64 LE) followed by a little-endian bit array over 0..limit.
+A bitmap is a little-endian bit array over 0..limit (bit n % 8 of byte
+n // 8 is set when n is practical), held in memory as the bytes it
+persists as, after a 16-byte header (magic "PRAC", version u32 LE, limit
+u64 LE).  Counts, membership and the representation checks read those
+bytes directly or as one Python int, so a bitmap loaded from disk needs no
+numpy; numpy is imported only to walk the tree and to hand out bool arrays
+(`flags`, `members`).
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ from __future__ import annotations
 import math
 import struct
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import primes_upto
 from .errors import InvalidInput, MemoryBudgetExceeded
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAGIC = b"PRAC"
 VERSION = 1
@@ -32,44 +39,63 @@ DEFAULT_MEMORY_BUDGET = 1 << 31  # bytes for the bitmap's bool array
 
 
 class PracticalBitmap:
-    """Membership bitmap for practical numbers on [1, limit]."""
+    """Membership bitmap for practical numbers on [1, limit].
+
+    `bits` is the packed bit array of the file format, (limit + 8) // 8
+    bytes with bit 0 clear: n is practical when bit n % 8 of byte n // 8
+    is set.  `PracticalBitmap(flags)` packs a bool array indexed by n and
+    keeps it as `flags`; `load` and `save` copy the bytes as they are.
+    """
 
     def __init__(self, flags: np.ndarray):
-        self._flags = flags
+        import numpy as np
 
-    @property
-    def limit(self) -> int:
-        return len(self._flags) - 1
+        self.limit = len(flags) - 1
+        self.bits = np.packbits(flags, bitorder="little").tobytes()
+        self._flags = flags
 
     def __contains__(self, n: int) -> bool:
         if not 1 <= n <= self.limit:
             raise InvalidInput(f"n = {n} outside bitmap range [1, {self.limit}]")
-        return bool(self._flags[n])
+        return bool(self.bits[n >> 3] >> (n & 7) & 1)
 
     @property
     def flags(self) -> np.ndarray:
-        """The underlying bool array, indexed by n (entry 0 is always False)."""
+        """Bool array indexed by n (entry 0 is always False): the array the
+        bitmap was built from, else unpacked from `bits` on first use.
+        Writing to it leaves `bits` as it was."""
+        if self._flags is None:
+            import numpy as np
+
+            packed = np.frombuffer(self.bits, dtype=np.uint8)
+            self._flags = np.unpackbits(packed, count=self.limit + 1, bitorder="little").view(bool)
         return self._flags
 
     def members(self) -> np.ndarray:
         """All practical numbers <= limit, ascending."""
-        return np.nonzero(self._flags)[0]
+        import numpy as np
+
+        return np.nonzero(self.flags)[0]
+
+    def as_int(self, x: int) -> int:
+        """Bits 0..x as one int: bit n is set when n <= x is practical."""
+        last = self.bits[x >> 3] & ((2 << (x & 7)) - 1)  # bits 8 * (x >> 3)..x
+        return int.from_bytes(self.bits[: x >> 3] + bytes((last,)), "little")
 
     def count(self, x: int | None = None) -> int:
         """Number of practical numbers <= x (default: <= limit)."""
         x = self.limit if x is None else x
         if not 1 <= x <= self.limit:
             raise InvalidInput(f"x = {x} outside bitmap range [1, {self.limit}]")
-        return int(np.count_nonzero(self._flags[: x + 1]))
+        return self.as_int(x).bit_count()
 
     def save(self, path: str | Path) -> None:
-        packed = np.packbits(self._flags, bitorder="little")
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, self.limit))
-            fh.write(packed.tobytes())
+            fh.write(self.bits)
 
     @classmethod
-    def load(cls, path: str | Path) -> "PracticalBitmap":
+    def load(cls, path: str | Path) -> PracticalBitmap:
         with open(path, "rb") as fh:
             header = fh.read(_HEADER.size)
             if len(header) != _HEADER.size:
@@ -85,11 +111,11 @@ class PracticalBitmap:
             raise InvalidInput(
                 f"{path}: payload length {len(payload)} != expected {expected}"
             )
-        bits = np.frombuffer(payload, dtype=np.uint8)
-        flags = np.unpackbits(bits, count=limit + 1, bitorder="little").view(bool)
-        if flags[0]:
+        if payload[0] & 1:
             raise InvalidInput(f"{path}: corrupt bitmap (bit 0 set)")
-        return cls(flags)
+        bitmap = cls.__new__(cls)  # bits only: `flags` unpacks them when asked
+        bitmap.limit, bitmap.bits, bitmap._flags = limit, payload, None
+        return bitmap
 
 
 def _initial_prime_bound(limit: int) -> int:
@@ -101,6 +127,8 @@ def _initial_prime_bound(limit: int) -> int:
 
 def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, index) pairs listing every index of the ranges lo[k]:hi[k]."""
+    import numpy as np
+
     counts = hi - lo
     owner = np.repeat(np.arange(len(lo)), counts)
     index = np.arange(len(owner)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
@@ -113,6 +141,8 @@ def _tree_levels(limit: int):
     A depth is held as int64 arrays of n, sigma(n) and the table index of
     n's largest prime (-1 for the root); sigma(n) < 7n and q * q < 8 * limit
     for table primes q keep them exact below 2^59."""
+    import numpy as np
+
     primes = primes_upto(_initial_prime_bound(limit))
     n, s, last = (np.array([v], dtype=np.int64) for v in (1, 1, -1))
     while len(n):
@@ -145,6 +175,8 @@ def sieve_practicals(
         raise InvalidInput(f"sieve limit must be >= 1, got {limit}")
     if limit + 1 > memory_budget:
         raise MemoryBudgetExceeded(f"bitmap for limit {limit} exceeds {memory_budget} bytes")
+    import numpy as np
+
     flags = np.zeros(limit + 1, dtype=bool)
     for n, primes, lo, hi in _tree_levels(limit):
         flags[n] = True

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: quartiles, pair wins, the gain rule and each side's bytecode."""
+"""tools/bench_pairs.py: quartiles, pair wins, the gain rule (failures included) and each
+side's bytecode."""
 
 import importlib.util
 import json
@@ -16,8 +17,9 @@ LOWER = [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]
 HIGHER = [{"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}]
 
 
-def runs(name, values):
-    return [{"metrics": {name: {"value": v, "unit": "s"}}} for v in values]
+def runs(name, values, failed=0):
+    return [{"metrics": {name: {"value": v, "unit": "s"}}, "attempted": 100, "failed": failed}
+            for v in values]
 
 
 def test_quartiles_are_inclusive():
@@ -42,6 +44,16 @@ def test_gain_needs_nine_tenths_of_pairs_and_a_gap_wider_than_the_parent_iqr():
     change = [x - 0.05 for x in parent]  # every pair won, but inside the parent's IQR
     m = bench_pairs.summarize(runs("run_s", parent), runs("run_s", change), LOWER)["run_s"]
     assert m["change_won_pairs"] == 10 and not m["gain"]
+
+
+def test_no_gain_when_a_larger_share_of_operations_failed():
+    parent = [4.0, 4.2, 4.4, 4.1, 4.3, 4.5, 4.0, 4.2, 4.4, 4.3]
+    change = [2.9] * 10
+    m = bench_pairs.summarize(runs("run_s", parent), runs("run_s", change, failed=1), LOWER)
+    assert m["run_s"]["change_won_pairs"] == 10 and not m["run_s"]["gain"]
+    m = bench_pairs.summarize(runs("run_s", parent, failed=1), runs("run_s", change, failed=1),
+                              LOWER)
+    assert m["run_s"]["gain"]  # the same share of failures as the parent
 
 
 def test_direction_and_bound_follow_the_declared_metric():

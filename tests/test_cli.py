@@ -127,6 +127,18 @@ def test_goldbach_rejects_odd_n_before_touching_cache(capsys, tmp_path, monkeypa
     assert not cache.exists() or not any(cache.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ("triples", "--limit", "0"), ("count", "5", "--report", "0,5"), ("count", "0"),
+    ("sieve", "--limit", "0"),
+], ids=["triples", "report", "count", "sieve"])
+def test_bad_bitmap_bounds_are_rejected_before_touching_cache(capsys, tmp_path, monkeypatch, argv):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(cache))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and ">= 1" in err
+    assert not cache.exists()
+
+
 def test_quad_mq_rejects_composite_p(capsys):
     code, out, err = run_cli(capsys, "quad", "mq", "1", "0", "3", "4")
     assert code == 2 and out == "" and "prime" in err

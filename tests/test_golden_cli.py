@@ -69,6 +69,29 @@ def _command(argv: list[str]) -> tuple[str, ...]:
 def test_bitmap_free_commands_run_without_numpy(tmp_path):
     entries = [e for e in CORPUS + EXTRA if _command(e["argv"]) in NO_BITMAP]
     assert {_command(e["argv"]) for e in entries} == NO_BITMAP
+    _assert_stdout_without_numpy(entries, tmp_path)
+    assert not (tmp_path / "cache").exists()
+
+
+def test_bitmap_commands_read_the_cache_without_numpy(tmp_path):
+    # a process with numpy builds a bitmap covering every corpus limit (the
+    # largest is triples --limit 10000's 10002 and the 10^6 counts)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PRACTICUM_CACHE_DIR=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-m", "practicum.cli", "sieve", "--limit", "1000002"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    bitmap_commands = {("sieve",), ("count",), ("goldbach",), ("triples",)}
+    entries = [e for e in CORPUS + EXTRA if _command(e["argv"]) in bitmap_commands]
+    assert {_command(e["argv"]) for e in entries} == bitmap_commands
+    _assert_stdout_without_numpy(entries, tmp_path)
+    # every command was a cache hit: nothing was rebuilt beside the entry
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["practical-1000002.bits"]
+
+
+def _assert_stdout_without_numpy(entries, tmp_path):
+    """Run every entry in one fresh interpreter where importing numpy fails;
+    each must exit 0 with its golden stdout."""
     child = (
         "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -90,7 +113,6 @@ def test_bitmap_free_commands_run_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for entry, (code, out) in zip(entries, json.loads(proc.stdout), strict=True):
         assert (code, out) == (0, entry["stdout"]), entry["argv"]
-    assert not (tmp_path / "cache").exists()
 
 
 def _assert_stdout(entry, tmp_path, monkeypatch, capsys):

@@ -1,9 +1,10 @@
-"""numpy stays off the start-up path, and the package's names stay put.
+"""Short processes load only what they run, and the package's names stay put.
 
-Only the bitmap API (`practicum.sieve` and its four exports, loaded on
-first use) and the functions that build arrays import numpy, so a process
-that runs a bitmap-free command never pays for it.  Each check runs in a
-fresh interpreter, where nothing has imported numpy yet.
+Importing `practicum` loads none of its modules: each public name's module
+is imported on first access.  numpy is imported only to build a bitmap or
+to hand out an array, so a process that runs a bitmap-free command, or
+reads a cached bitmap, never pays for it.  Each check runs in a fresh
+interpreter, where nothing has imported numpy yet.
 """
 
 import json
@@ -14,8 +15,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Every public name of `practicum`: those it had before its bitmap API became
-# lazy, and factor_budget.
+# Every public name of `practicum`: those it had when it still imported its
+# modules eagerly (its bitmap API already lazy), and factor_budget.
 EXPORTS = (
     "APClassification", "APWitness", "BoundViolated", "BudgetExceeded",
     "ClassificationMismatch", "DEFAULT_BUDGET", "FactorBudget", "Factorization",
@@ -83,3 +84,29 @@ def test_every_export_resolves_and_is_listed():
     assert got["numpy_before"] is False
     assert got["same_module"] and got["same_function"] and got["same_class"]
     assert got["missing_raises"]
+
+
+def test_star_import_binds_every_export():
+    out = run_child(
+        "import json\n"
+        "from practicum import *\n"
+        f"print(json.dumps([n for n in {EXPORTS!r} if n not in globals()]))\n"
+    )
+    assert json.loads(out) == []
+
+
+def test_test_command_loads_only_its_own_modules():
+    out = run_child(
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import practicum.cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = practicum.cli.main(['test', '88'])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    code, loaded = json.loads(out)
+    assert code == 0
+    unused = {"numpy", *(f"practicum.{m}" for m in
+                         ("progressions", "quadratics", "representations", "sieve"))}
+    assert unused.isdisjoint(loaded)
+    assert {"practicum.arith", "practicum.practical"} <= set(loaded)

@@ -13,6 +13,7 @@ from practicum import (
     PracticalBitmap,
     count_practicals,
     density_report,
+    goldbach_pair,
     is_practical,
     is_practical_oracle,
     is_practical_quick,
@@ -197,3 +198,42 @@ def test_load_header_validation(tmp_path):
     bad.write_bytes(bytes(flipped))
     with pytest.raises(InvalidInput, match="bit 0"):
         PracticalBitmap.load(bad)
+
+
+def _check_packed_against_flags(limit, directory):
+    """A bitmap loaded from disk (bits only, no bool array) against numpy
+    formulas on the flags of the bitmap it was saved from: counts,
+    membership, Goldbach pairs and triples; and save -> load -> save keeps
+    the bytes."""
+    built = sieve_practicals(limit)
+    path, again = directory / f"{limit}.bits", directory / f"{limit}-again.bits"
+    built.save(path)
+    loaded = PracticalBitmap.load(path)
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+    flags = built.flags
+    xs = range(1, limit + 1)
+    if limit > 64:
+        xs = sorted({1, limit, *random.Random(limit).sample(xs, min(limit, 200))})
+    for x in xs:
+        assert loaded.count(x) == int(np.count_nonzero(flags[: x + 1])), (limit, x)
+        assert (x in loaded) == bool(flags[x]), (limit, x)
+        if x % 2 == 0:
+            p = np.arange(1, x // 2 + 1)
+            p1 = int(p[flags[p] & flags[x - p]][0])
+            assert goldbach_pair(x, loaded) == (p1, x - p1), (limit, x)
+    for t in range(1, limit - 1) if limit <= 64 else (limit - 2, limit // 3):
+        m = np.arange(3, t + 1)
+        expected = m[flags[m - 2] & flags[m] & flags[m + 2]].tolist()
+        assert practical_triples(t, loaded) == expected, (limit, t)
+
+
+def test_packed_bitmap_matches_flags_at_every_small_limit(tmp_path):
+    for limit in range(1, 65):  # every byte phase; triples below limit 5
+        _check_packed_against_flags(limit, tmp_path)
+
+
+@settings(max_examples=20, deadline=None)
+@given(limit=st.integers(min_value=65, max_value=2 * 10**5))
+def test_packed_bitmap_matches_flags(limit, tmp_path_factory):
+    _check_packed_against_flags(limit, tmp_path_factory.mktemp("bits"))

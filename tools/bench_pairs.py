@@ -21,7 +21,8 @@ runs, median and quartiles (inclusive method), the pairs the working tree
 won and tied, the change of the medians, whether that change stays within
 the metric's bound in BENCHMARK.json, and whether it is a gain by the
 benchmark's rule: better in at least nine tenths of the pairs, with the
-medians further apart than the parent's Q1-Q3 spread.  It also records the
+medians further apart than the parent's Q1-Q3 spread, and no larger share
+of failed operations than the parent's.  It also records the
 seeds, each run's attempted and failed operation counts, a digest of each
 side's `src/` and the machine: CPU model, processor count, Python and
 numpy versions.  Standard library only; needs git and tar.
@@ -115,9 +116,17 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def failed_share(runs: list[dict]) -> float:
+    """Failed operations over attempted ones, across runs."""
+    attempted = sum(run["attempted"] for run in runs)
+    return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
+
+
 def summarize(parent: list[dict], change: list[dict], declared: list[dict]) -> dict:
-    """Per-metric comparison of paired runs (parent[i] and change[i] are pair i)."""
+    """Per-metric comparison of paired runs (parent[i] and change[i] are pair i).
+    No metric is a gain when a larger share of the change's operations failed."""
     out = {}
+    fails_more = failed_share(change) > failed_share(parent)
     for spec in declared:
         name, sign = spec["name"], (1 if spec["better"] == "lower" else -1)
         p = [run["metrics"][name]["value"] for run in parent]
@@ -132,7 +141,7 @@ def summarize(parent: list[dict], change: list[dict], declared: list[dict]) -> d
             "median_change": diff / ps["median"] if ps["median"] else None,
             "within_bound": sign * diff <= spec["bound"] * abs(ps["median"]),
             "gain": (wins >= 0.9 * len(p) and sign * diff < 0
-                     and abs(diff) > ps["q3"] - ps["q1"]),
+                     and abs(diff) > ps["q3"] - ps["q1"] and not fails_more),
         }
     return out
 
