@@ -1,14 +1,13 @@
 """Exact integer arithmetic substrate.
 
-Factorization (trial division + Pollard-Brent behind an explicit work
-budget, set for a scope by factor_budget; the trial stage tests blocks of
-256 wheel candidates with one gcd each and walks only a block that shares a
-factor with n), divisor sums, p-adic valuations, a CRT solver that accepts
-non-coprime moduli and the two ways primes are produced: prime_stream walks
-2, 3, 4, ... through the primality test _is_prime (Miller-Rabin, proven
-below psi_13 ~ 3.3 * 10^24, Baillie-PSW above), and primes_upto sieves a
-numpy prime table.  Everything here works on arbitrary-precision ints; only
-the prime table is restricted to machine-word sizes.
+Factorization (a trial stage that yields prime powers in increasing order,
+then Pollard-Brent, behind a work budget set for a scope by factor_budget),
+divisor sums, p-adic valuations, a CRT solver that accepts non-coprime
+moduli and the two ways primes are produced: prime_stream walks 2, 3, 4, ...
+through the primality test _is_prime (Miller-Rabin, proven below psi_13 ~
+3.3 * 10^24, Baillie-PSW above), and primes_upto sieves a numpy prime
+table.  Everything here works on arbitrary-precision ints; only the prime
+table is restricted to machine-word sizes.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import count
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
 from .errors import BudgetExceeded, InconsistentSystem, InvalidInput
 
@@ -42,9 +41,8 @@ class FactorBudget:
     trial_bound  -- largest trial-division candidate before switching to rho
     work_limit   -- total charged operations (trial candidates + rho steps)
 
-    Trial division charges one unit per wheel candidate passed, whether the
-    candidate was divided into n or cleared with its block by one gcd, so
-    both limits mean what they meant for a candidate-by-candidate loop.
+    Trial division charges one unit per wheel candidate passed, divided into n
+    or cleared with its block by one gcd, as a candidate-by-candidate loop would.
     """
 
     trial_bound: int = 1 << 16
@@ -92,10 +90,7 @@ class Factorization:
 
     @property
     def value(self) -> int:
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        return n
+        return math.prod(p**e for p, e in self.factors)
 
     def __iter__(self):
         return iter(self.factors)
@@ -111,10 +106,7 @@ def sigma_prime_power(p: int, e: int) -> int:
 
 def sigma(f: Factorization) -> int:
     """Sum of divisors of the integer represented by f (multiplicative)."""
-    s = 1
-    for p, e in f:
-        s *= sigma_prime_power(p, e)
-    return s
+    return math.prod(sigma_prime_power(p, e) for p, e in f)
 
 
 def valuation(n: int, p: int) -> int:
@@ -216,11 +208,9 @@ def _strong_lucas(n: int) -> bool:
 _WHEEL = (7, 11, 13, 17, 19, 23, 29, 31)
 _BLOCK = 256
 _CACHED_BLOCKS = 1024
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_WALK = 16  # candidates tried one by one before a gcd clears the rest of a block
 _block_products: dict[int, int] = {}
-
-
-def _candidate(j: int) -> int:
-    return 30 * (j >> 3) + _WHEEL[j & 7]
 
 
 def _candidates_upto(x: int) -> int:
@@ -258,8 +248,6 @@ class _WorkMeter:
 
 def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
     """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -291,62 +279,91 @@ def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
         # cycle degenerated; retry with a fresh polynomial
 
 
-def factorize(n: int) -> Factorization:
-    """Canonical factorization of n >= 1, under the budget in force.
-
-    The budget is the one set by the innermost enclosing factor_budget
-    block, else DEFAULT_BUDGET.  Trial division by the candidates coprime to
-    30 up to min(isqrt(n), budget.trial_bound), a block of them per gcd,
-    then Miller-Rabin plus Pollard-Brent for any remaining cofactor.  Raises
-    BudgetExceeded when the budget's work limit runs out; never returns a
-    partial answer.
-    """
-    if n < 1:
-        raise InvalidInput(f"factorize requires n >= 1, got {n}")
-    if n == 1:
-        return Factorization(())
-    budget = _budget.get()
-    meter = _WorkMeter(budget.work_limit)
-
-    factors: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
+def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], int | None, None]:
+    """The prime powers (p, e) of n >= 1 in increasing p, under the budget in force:
+    trial division up to min(isqrt(cofactor), trial_bound), then Miller-Rabin
+    and Pollard-Brent.  A caller walking Stewart's chain sends its bound
+    sigma(prefix) + 1 after each step (cap is the first; next() keeps it).
+    Once the next untried candidate d passes it while the cofactor is not 1,
+    (d, 0) stands for the primes left, which all exceed the bound."""
+    if not n & 1:
+        e = (n & -n).bit_length() - 1
+        n >>= e
+        cap = (yield 2, e) or cap
+    j = 0  # index of the next wheel candidate 7, 11, 13, ..., and the work charged
+    for p in _SMALL_PRIMES:  # most scanned values stop by 31
+        if p > cap:
+            if n > 1:
+                yield p, 0
+            return
+        if p == 7:  # the wheel's first turn, 7..31 (all prime), stays here if affordable
+            budget = _budget.get()
+            trial_bound, work_limit = budget.trial_bound, budget.work_limit
+            if trial_bound < 31 or work_limit < 8:
+                break
+            j = 8
+        if n % p == 0:
             n //= p
-    j = 0  # index of the first untried wheel candidate
-    while (end := _candidates_upto(min(math.isqrt(n), budget.trial_bound))) > j:
-        stop = min(end, (j // _BLOCK + 1) * _BLOCK)
-        if math.gcd(n, _block_product(j // _BLOCK)) == 1:
-            meter.charge(stop - j, n)  # no candidate of the block divides n
-            j = stop
-        else:
-            while j < stop:
-                d = _candidate(j)
-                meter.charge(1, n)
-                if n % d == 0:
-                    e = 0
-                    while n % d == 0:
-                        n //= d
-                        e += 1
-                    factors[d] = e
-                    stop = min(stop, _candidates_upto(math.isqrt(n)))
-                j += 1
-    d = _candidate(j)
+            e = 1
+            while n % p == 0:
+                n //= p
+                e += 1
+            cap = (yield p, e) or cap
+            if n == 1:
+                return
+    check = min(j + _WALK, work_limit)
+    while True:
+        d = 30 * (j >> 3) + _WHEEL[j & 7]
+        if d * d > n or d > cap:  # n is 1 or prime, or its primes all pass the bound
+            if n > 1:
+                yield (n, 1) if d * d > n else (d, 0)
+            return
+        if d > trial_bound:
+            break
+        if j == check:  # the work runs out, or a run this long takes a gcd
+            _WorkMeter(work_limit - j).charge(1, n)  # candidate j costs one unit
+            block_end = (j // _BLOCK + 1) * _BLOCK
+            if math.gcd(n, _block_product(j // _BLOCK)) == 1:
+                stop = min(_candidates_upto(min(math.isqrt(n), trial_bound, cap)), block_end)
+                _WorkMeter(work_limit - j).charge(stop - j, n)
+                j = check = stop
+                continue
+            check = min(block_end, work_limit)  # walk the block, gcd the next
+        j += 1
+        if n % d == 0:
+            n //= d
+            e = 1
+            while n % d == 0:
+                n //= d
+                e += 1
+            cap = (yield d, e) or cap
+            if n == 1:
+                return
+            check = min(j + _WALK, work_limit)
 
-    rng = random.Random(0xC0FFEE)  # fixed seed: factorize must be deterministic
-    stack = [n] if n > 1 else []
+    meter = _WorkMeter(work_limit - j)
+    rng = None
+    factors: dict[int, int] = {}
+    stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if m < d * d or _is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
+        rng = rng or random.Random(0xC0FFEE)  # built once, seeded so results are deterministic
         f = _brent_rho(m, meter, rng)
-        stack.append(f)
-        stack.append(m // f)
+        stack += (f, m // f)
+    for pe in sorted(factors.items()):
+        yield pe  # not yield from: a list iterator has no send()
 
-    return Factorization(tuple(sorted(factors.items())))
+
+def factorize(n: int) -> Factorization:
+    """Canonical factorization of n >= 1 under the budget in force (the
+    innermost factor_budget block's, else DEFAULT_BUDGET); BudgetExceeded
+    when its work limit runs out, never a partial answer."""
+    if n < 1:
+        raise InvalidInput(f"factorize requires n >= 1, got {n}")
+    return Factorization(tuple(_prime_powers(n)))
 
 
 def crt_solve(system: Iterable[tuple[int, int]]) -> tuple[int, int]:

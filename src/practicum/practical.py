@@ -4,10 +4,10 @@ A positive integer n is practical when every integer in [1, n] is a sum of
 distinct divisors of n.  The structure theorem (Stewart) makes this
 decidable from the factorization alone: writing n = p1^a1 ... pk^ak with
 p1 < ... < pk, n is practical iff n = 1 or p1 = 2 and every pi satisfies
-pi <= sigma(p1^a1 ... p_{i-1}^a_{i-1}) + 1.  Positive verdicts carry the
-full chain of those comparisons; negative ones carry the practical prefix
-of the chain plus the first failing comparison.  Either kind replays with
-plain arithmetic.
+pi <= sigma(p1^a1 ... p_{i-1}^a_{i-1}) + 1.  One walk makes these comparisons:
+over a full factorization for a verdict, whose positive chain or negative
+prefix plus first failing comparison replays with plain arithmetic, and
+over arith's lazy trial stage for the boolean test that scans run.
 
 The subset-sum oracle implements the definition directly and exists to
 check the structure test, never to replace it.
@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Iterator, Union
 
-from .arith import Factorization, factorize, sigma_prime_power
+from .arith import Factorization, _prime_powers, factorize, sigma_prime_power
 from .errors import BoundViolated, InvalidInput, OracleBoundExceeded
 
 DEFAULT_ORACLE_BOUND = 10**6
@@ -95,74 +95,51 @@ class PracticalityVerdict:
         )
 
 
+def _walk(powers: Iterator[tuple[int, int]], chain: list | None = None) -> tuple[int, int] | None:
+    """Stewart's comparisons over prime powers in increasing order.  Sends each bound
+    sigma(prefix) + 1 back, so a lazy source can stop once no untried prime passes;
+    extends chain if given one; returns the first failing (prime, bound), else None."""
+    running = 1
+    try:
+        p, e = next(powers)
+        while p <= running + 1:
+            running *= (p ** (e + 1) - 1) // (p - 1)  # sigma(p^e), inline: every scan runs it
+            if chain is not None:
+                chain.append((p, e, running))
+            p, e = powers.send(running + 1)
+    except StopIteration:
+        return None
+    next(powers, None)  # a finished generator is freed faster than a suspended one
+    return p, running + 1
+
+
 def practical_from_factorization(f: Factorization, n: int | None = None) -> PracticalityVerdict:
     """Run the structure test on a known factorization."""
-    n = f.value if n is None else n
-    chain = []
-    running = 1
-    for i, (p, e) in enumerate(f, start=1):
-        if p > running + 1:
-            return PracticalityVerdict(
-                n,
-                False,
-                chain=tuple(chain),
-                witness=StewartWitness(index=i, prime=p, bound=running + 1),
-            )
-        running *= sigma_prime_power(p, e)
-        chain.append((p, e, running))
-    return PracticalityVerdict(n, True, chain=tuple(chain))
+    chain: list[tuple[int, int, int]] = []
+    failure = _walk((pe for pe in f), chain)  # a generator accepts the walk's send()
+    witness = failure and StewartWitness(len(chain) + 1, *failure)
+    return PracticalityVerdict(f.value if n is None else n, not failure, tuple(chain), witness)
 
 
 def is_practical(n: int) -> PracticalityVerdict:
     """Decide practicality of n >= 1; the verdict carries replayable evidence.
-
     n is factored under the budget in force (see arith.factor_budget), and
-    BudgetExceeded from factorize propagates when its work limit runs out.
-    """
+    BudgetExceeded from factorize propagates when its work limit runs out."""
     if n < 1:
         raise InvalidInput(f"practicality is defined for n >= 1, got {n}")
     return practical_from_factorization(factorize(n), n)
 
 
 def is_practical_quick(n: int) -> bool:
-    """Boolean-only structure test with early exit; no witness, no rho.
-
-    Trial division never needs to pass sigma(prefix)+1: once every candidate
-    up to that bound fails, the least remaining prime factor already breaks
-    the chain.  This is what the scan-heavy paths use.
-    """
+    """is_practical(n).practical by the same walk under the same budget, with
+    n's prime powers drawn lazily from factorize's trial stage, which stops
+    at the first candidate above sigma(prefix) + 1: rho runs only once that
+    bound passes the trial bound.  This is what the scan-heavy paths use."""
     if n < 1:
         raise InvalidInput(f"practicality is defined for n >= 1, got {n}")
-    if n == 1:
-        return True
-    if n & 1:
-        return False
-    m = n >> 1
-    e = 1
-    while not m & 1:
-        m >>= 1
-        e += 1
-    s = (1 << (e + 1)) - 1
-    if m == 1:
-        return True
-    d = 3
-    while True:
-        if d > s + 1:
-            return False
-        if d * d > m:
-            return m <= s + 1
-        if m % d == 0:
-            t = 1 + d
-            pk = d
-            m //= d
-            while m % d == 0:
-                m //= d
-                pk *= d
-                t += pk
-            s *= t
-            if m == 1:
-                return True
-        d += 2
+    if n & 1:  # an odd n > 1 fails at its least prime, >= 3 > sigma(1) + 1
+        return n == 1
+    return _walk(_prime_powers(n, 2)) is None
 
 
 def is_practical_oracle(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> bool:

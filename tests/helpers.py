@@ -8,12 +8,36 @@ enumeration, exhaustive lifting) and never use the library's shortcuts
 from __future__ import annotations
 
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 
 ORACLE_LEVEL_FLOOR = 8
 ORACLE_MODULUS_CAP = 10**7
 FULL_RANGE_CAP = 10**4
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised by time_limit; a BaseException, so no `except Exception` in
+    the code under test turns it into an ordinary error."""
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the block with TimeLimitExceeded once it runs for `seconds`
+    (SIGALRM: main thread only), instead of letting a test hang."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def is_prime_trial(n: int) -> bool:

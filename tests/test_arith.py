@@ -282,6 +282,11 @@ def test_block_gcd_trial_division_matches_the_wheel_loop():
                                                    rng.choice(_WORK_LIMITS)))
 
 
+def _candidate(j):
+    """The wheel candidate with index j among 7, 11, 13, ... (coprime to 30)."""
+    return 30 * (j // 8) + (7, 11, 13, 17, 19, 23, 29, 31)[j % 8]
+
+
 def _wheel_index(c):
     """Index of the wheel candidate c among 7, 11, 13, ... (coprime to 30)."""
     return sum(1 for x in range(7, c) if math.gcd(x, 30) == 1)
@@ -291,7 +296,7 @@ def test_prime_factor_at_a_block_edge():
     block = arith._BLOCK
     ends = []
     for b in range(arith._candidates_upto(1 << 16) // block):  # blocks below the default bound
-        first, last = arith._candidate(b * block), arith._candidate((b + 1) * block - 1)
+        first, last = _candidate(b * block), _candidate((b + 1) * block - 1)
         ends += [c for c in (first, last) if is_prime_trial(c)]
     assert len(ends) >= 10
     for c in ends:
@@ -302,7 +307,7 @@ def test_prime_factor_at_a_block_edge():
 
 def test_trial_bound_on_between_and_inside_blocks():
     block = arith._BLOCK
-    bounds = [arith._candidate(j) for j in (block - 1, block, 3 * block + block // 2)]
+    bounds = [_candidate(j) for j in (block - 1, block, 3 * block + block // 2)]
     bounds += [c + 1 for c in bounds] + [c - 1 for c in bounds]
     n = 1_000_000_007**2 * 1_000_003  # no factor <= any bound: the trial stage runs to it
     for tb in bounds:
@@ -320,7 +325,7 @@ def test_trial_bound_on_between_and_inside_blocks():
 
 def test_square_of_the_first_candidate_above_the_trial_bound():
     # the trial stage ends with d = q, so q*q is not taken for a prime by m < d*d
-    for q in (11, 101, 967, arith._candidate(3 * arith._BLOCK + 5), 65537):
+    for q in (11, 101, 967, _candidate(3 * arith._BLOCK + 5), 65537):
         assert is_prime_trial(q)
         below = max(c for c in range(q) if c < 7 or math.gcd(c, 30) == 1)
         for tb in range(below, q):
@@ -333,7 +338,7 @@ def test_square_of_the_first_candidate_above_the_trial_bound():
 def test_cofactor_drops_below_d_squared_inside_a_block():
     block = arith._BLOCK
     j = 2 * block + block // 2
-    p = next(c for c in map(arith._candidate, range(j, 3 * block)) if is_prime_trial(c))
+    p = next(c for c in map(_candidate, range(j, 3 * block)) if is_prime_trial(c))
     q = next(c for c in range(p + 2, p * p) if is_prime_trial(c))
     r = next(c for c in range(p * p + 1, 2 * p * p) if is_prime_trial(c))
     work = _wheel_index(p) + 1  # the walk stops right after p: q < next candidate^2

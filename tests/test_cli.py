@@ -1,15 +1,22 @@
+import argparse
+import contextlib
+import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import time_limit
 from practicum import cli, quadratics, representations
 from practicum.arith import crt_solve
-from practicum.cli import main
+from practicum.cli import build_parser, main
 from practicum.sieve import PracticalBitmap
 
 
@@ -343,6 +350,73 @@ def test_factor_work_reaches_every_command_that_factors(capsys, argv):
     code, out, err = run_cli(capsys, "--factor-work", "10", *argv)
     assert (code, out) == (2, "")
     assert "raise --factor-work" in err
+
+
+# One input per command that the factor budget bounds, each needing more
+# than one unit of factoring work.
+_NEEDS_FACTORING = {
+    "test": ["test", _SEMIPRIME],
+    "ap classify": ["ap", "classify", _SEMIPRIME, _SEMIPRIME],
+    "ap stream": ["ap", "stream", _SEMIPRIME, _SEMIPRIME, "--count", "1"],
+    "ap witness": ["ap", "witness", _SEMIPRIME, _SEMIPRIME, "--min", "5"],
+    "poly witness": ["poly", "witness", f"0,{_SEMIPRIME}"],
+    # q(1) = 2^20 * 1000003 * 1000033, and sigma(2^20) + 1 > 10^6
+    "quad stream": ["quad", "stream", "1", "0", str(2**20 * int(_SEMIPRIME) - 1), "--count", "1"],
+    # the first member is 24 mod 32: sigma(8) + 1 = 16 passes the wheel's 7 and 11
+    "family --verify": ["family", "0", "--count", "1", "--verify"],
+}
+
+
+def test_readme_lists_every_command_the_factor_budget_bounds(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    bullet = readme.split("- `--trial-bound`, `--factor-work`:", 1)[1]
+    assert sorted(re.findall(r"`([^`]+)`", bullet.split(".", 1)[0])) == sorted(_NEEDS_FACTORING)
+    for name, argv in _NEEDS_FACTORING.items():
+        code, out, err = run_cli(capsys, "--factor-work", "1", *argv)
+        assert (code, out) == (2, ""), name
+        assert "raise --factor-work" in err, name
+
+
+# Every subcommand, each integer argument a slot for an edge value.
+_EDGE_INTEGERS = (0, 1, -1, 2, 3, -7, 10**40)
+_TEMPLATES = (
+    "test {} --verify", "oracle {}", "sieve --limit {}", "count {} --report {},{}",
+    "ap classify {} {}", "ap stream {} {} --count {}", "ap witness {} {} --min {}",
+    "poly witness {},{},{} --bound {}", "quad mq {} {} {} {}", "quad classify {} {} {}",
+    "quad stream {} {} {} --count {}", "quad witness {} {} {} --min {}",
+    "decompose {} --verify", "family {} --count {} --verify", "goldbach {} --verify",
+    "triples --limit {}", "palindromic --count {}",
+)
+
+
+def _subcommands(parser, prefix=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, (*prefix, name))
+            return
+    yield " ".join(prefix)
+
+
+def test_fuzz_templates_cover_every_subcommand():
+    named = {" ".join(w for w in t.split() if w.isalpha()) for t in _TEMPLATES}
+    assert named == set(_subcommands(build_parser()))
+
+
+@pytest.mark.parametrize("template", _TEMPLATES)
+@settings(max_examples=25, deadline=None)
+@given(values=st.lists(st.sampled_from(_EDGE_INTEGERS), min_size=4, max_size=4))
+def test_edge_integers_exit_0_or_2_under_a_small_factor_work(template, values, tmp_path_factory):
+    cache = tmp_path_factory.getbasetemp() / "fuzz-cache"
+    argv = ["--factor-work", "1000", "--cache-dir", str(cache),
+            *template.format(*values).split()]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with time_limit(5):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (0, 2), argv
 
 
 def test_uncaught_exception_exits_3(capsys, monkeypatch):

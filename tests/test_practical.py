@@ -3,10 +3,14 @@ import random
 import pytest
 
 from practicum import (
+    DEFAULT_BUDGET,
     BoundViolated,
+    BudgetExceeded,
+    FactorBudget,
     InvalidInput,
     OracleBoundExceeded,
     certify_product,
+    factor_budget,
     factorize,
     is_practical,
     is_practical_oracle,
@@ -14,7 +18,9 @@ from practicum import (
     sigma,
     sieve_practicals,
 )
+from practicum.arith import _is_prime
 from practicum.practical import MultiplierCertificate, StewartWitness
+from helpers import time_limit
 
 
 def test_verdict_examples():
@@ -47,12 +53,42 @@ def test_structure_test_matches_oracle_small():
         assert is_practical(n).practical == is_practical_oracle(n), n
 
 
+def _next_prime(n):
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
 def test_quick_matches_full():
     for n in range(1, 4001):
         assert is_practical_quick(n) == is_practical(n).practical, n
     rng = random.Random(5)
     for n in rng.sample(range(1, 10**7), 300):
         assert is_practical_quick(n) == is_practical(n).practical, n
+    for _ in range(1000):
+        n = rng.randrange(1, 10**12)
+        for m in (n, 2 * n):
+            assert is_practical_quick(m) == is_practical(m).practical, m
+    # 2^k * p * q with p and q on both sides of the trial bound: the lazy
+    # walk stops in the trial stage, in Miller-Rabin or after rho
+    bound = DEFAULT_BUDGET.trial_bound
+    for _ in range(600):
+        p = _next_prime(rng.randrange(bound - 3000, bound + 3000))
+        q = _next_prime(rng.randrange(3, 1 << rng.randrange(2, 40)))
+        n = 2 ** rng.randrange(0, 64) * p * q
+        assert is_practical_quick(n) == is_practical(n).practical, n
+
+
+def test_quick_hands_a_large_cofactor_to_miller_rabin():
+    # sigma(2^120) + 1 = 2^121 passes the prime 10^30 + 57, so the walk must
+    # not trial-divide toward its square root (10^15) but stop at the trial
+    # bound and let Miller-Rabin prove it prime
+    n = 2**120 * (10**30 + 57)
+    with time_limit(2):
+        assert is_practical_quick(n)
+    with factor_budget(FactorBudget(work_limit=1000)), pytest.raises(BudgetExceeded):
+        is_practical_quick(n)  # the trial stage alone passes ~17,000 candidates
+    assert not is_practical_quick(2 * (10**30 + 57))  # stops at 3 > sigma(2) + 1
 
 
 def test_practical_numbers_above_one_are_even():

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from practicum import (
+    BudgetExceeded,
     ClassificationMismatch,
+    FactorBudget,
     InvalidInput,
     ScanBudgetExceeded,
     SearchExhausted,
     ap_constructive_witness,
     ap_practical_stream,
     classify_ap,
+    factor_budget,
     factorize,
     is_practical,
     is_practical_quick,
@@ -116,6 +119,18 @@ def test_stream_budget():
         ap_practical_stream(3, 5, 50, n_limit=10)
     with pytest.raises(InvalidInput):
         ap_practical_stream(3, 5, 0)
+
+
+def test_stream_runs_under_the_factor_budget():
+    # sigma(2^20) + 1 > 10^6, so deciding this term takes trial division
+    # past 1000 candidates (it is practical)
+    b = 2**20 * 1_000_003 * 1_000_033
+    with factor_budget(FactorBudget(work_limit=1000)):
+        with pytest.raises(BudgetExceeded):
+            ap_practical_stream(1, b, 1)
+        with pytest.raises(BudgetExceeded):
+            nonpractical_witness([0, b])  # its first value is b
+    assert ap_practical_stream(1, b, 1) == [b]
 
 
 def test_constructive_witness_examples():

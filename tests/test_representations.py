@@ -25,6 +25,8 @@ from practicum import (
     sqrt_mod_power_of_two,
     verify_not_representable,
 )
+from practicum import representations
+from practicum.cli import main
 from practicum.practical import MultiplierCertificate
 
 
@@ -144,6 +146,20 @@ def test_family_invalid_j():
         family_member(8, 0)
     with pytest.raises(InvalidInput):
         family_stream(0, 0)
+
+
+def test_counts_are_capped_where_they_enter(capsys):
+    family_cap = representations._FAMILY_COUNT_CAP
+    chain_cap = representations._PALINDROMIC_COUNT_CAP
+    assert family_stream(2, family_cap)[-1] % 8 == 2
+    with pytest.raises(InvalidInput, match="_FAMILY_COUNT_CAP"):
+        family_stream(3, family_cap + 1)
+    with pytest.raises(InvalidInput, match="_PALINDROMIC_COUNT_CAP"):
+        palindromic_practicals(chain_cap + 1)
+    assert chain_cap >= 19  # the certify workload of bench/run.py asks for 19
+    for argv in (["family", "3", "--count", str(10**40)], ["palindromic", "--count", "35"]):
+        assert main(argv) == 2
+        assert "_COUNT_CAP" in capsys.readouterr().err
 
 
 def test_verify_not_representable_examples():
