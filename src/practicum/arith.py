@@ -41,8 +41,9 @@ class FactorBudget:
     trial_bound  -- largest trial-division candidate before switching to rho
     work_limit   -- total charged operations (trial candidates + rho steps)
 
-    Trial division charges one unit per wheel candidate passed, divided into n
-    or cleared with its block by one gcd, as a candidate-by-candidate loop would.
+    Trial division charges one unit per wheel candidate passed, whether the
+    candidate was divided into n or cleared with its block by one gcd, so
+    both limits mean what they meant for a candidate-by-candidate loop.
     """
 
     trial_bound: int = 1 << 16
@@ -90,7 +91,10 @@ class Factorization:
 
     @property
     def value(self) -> int:
-        return math.prod(p**e for p, e in self.factors)
+        n = 1
+        for p, e in self.factors:
+            n *= p**e
+        return n
 
     def __iter__(self):
         return iter(self.factors)
@@ -106,7 +110,10 @@ def sigma_prime_power(p: int, e: int) -> int:
 
 def sigma(f: Factorization) -> int:
     """Sum of divisors of the integer represented by f (multiplicative)."""
-    return math.prod(sigma_prime_power(p, e) for p, e in f)
+    s = 1
+    for p, e in f:
+        s *= sigma_prime_power(p, e)
+    return s
 
 
 def valuation(n: int, p: int) -> int:
@@ -208,7 +215,6 @@ def _strong_lucas(n: int) -> bool:
 _WHEEL = (7, 11, 13, 17, 19, 23, 29, 31)
 _BLOCK = 256
 _CACHED_BLOCKS = 1024
-_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 _WALK = 16  # candidates tried one by one before a gcd clears the rest of a block
 _block_products: dict[int, int] = {}
 
@@ -240,10 +246,14 @@ class _WorkMeter:
     def charge(self, amount: int, n: int) -> None:
         self.left -= amount
         if self.left < 0:
-            raise BudgetExceeded(
-                f"factorization work limit exhausted while factoring {n}: "
-                "raise --factor-work (FactorBudget.work_limit)"
-            )
+            raise _out_of_work(n)
+
+
+def _out_of_work(n: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"factorization work limit exhausted while factoring {n}: "
+        "raise --factor-work (FactorBudget.work_limit)"
+    )
 
 
 def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
@@ -280,28 +290,21 @@ def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
 
 
 def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], int | None, None]:
-    """The prime powers (p, e) of n >= 1 in increasing p, under the budget in force:
-    trial division up to min(isqrt(cofactor), trial_bound), then Miller-Rabin
-    and Pollard-Brent.  A caller walking Stewart's chain sends its bound
+    """The prime powers (p, e) of n >= 1 in increasing p, under the budget in force.
+
+    2, 3 and 5, then the wheel candidates up to min(isqrt(n), trial_bound):
+    _WALK of them one by one, the rest of their block by one gcd, and a
+    block the gcd flags one by one; then Miller-Rabin and Pollard-Brent on
+    what is left.  A caller walking Stewart's chain sends its bound
     sigma(prefix) + 1 after each step (cap is the first; next() keeps it).
-    Once the next untried candidate d passes it while the cofactor is not 1,
-    (d, 0) stands for the primes left, which all exceed the bound."""
-    if not n & 1:
-        e = (n & -n).bit_length() - 1
-        n >>= e
-        cap = (yield 2, e) or cap
-    j = 0  # index of the next wheel candidate 7, 11, 13, ..., and the work charged
-    for p in _SMALL_PRIMES:  # most scanned values stop by 31
+    Once the next untried candidate d passes the bound while the cofactor
+    is not 1, (d, 0) stands for the primes left, which all exceed it.
+    """
+    for p in (2, 3, 5):
         if p > cap:
             if n > 1:
                 yield p, 0
             return
-        if p == 7:  # the wheel's first turn, 7..31 (all prime), stays here if affordable
-            budget = _budget.get()
-            trial_bound, work_limit = budget.trial_bound, budget.work_limit
-            if trial_bound < 31 or work_limit < 8:
-                break
-            j = 8
         if n % p == 0:
             n //= p
             e = 1
@@ -309,9 +312,10 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
                 n //= p
                 e += 1
             cap = (yield p, e) or cap
-            if n == 1:
-                return
-    check = min(j + _WALK, work_limit)
+    budget = _budget.get()
+    trial_bound, work_limit = budget.trial_bound, budget.work_limit
+    j = 0  # index of the next wheel candidate 7, 11, 13, ..., and the work charged so far
+    walk_end = min(_WALK, work_limit)  # where the work runs out or a gcd tests the rest of a block
     while True:
         d = 30 * (j >> 3) + _WHEEL[j & 7]
         if d * d > n or d > cap:  # n is 1 or prime, or its primes all pass the bound
@@ -320,15 +324,15 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
             return
         if d > trial_bound:
             break
-        if j == check:  # the work runs out, or a run this long takes a gcd
-            _WorkMeter(work_limit - j).charge(1, n)  # candidate j costs one unit
+        if j == walk_end:
+            if j == work_limit:  # candidate j would cost one unit more than the limit
+                raise _out_of_work(n)
             block_end = (j // _BLOCK + 1) * _BLOCK
-            if math.gcd(n, _block_product(j // _BLOCK)) == 1:
-                stop = min(_candidates_upto(min(math.isqrt(n), trial_bound, cap)), block_end)
-                _WorkMeter(work_limit - j).charge(stop - j, n)
-                j = check = stop
+            if math.gcd(n, _block_product(j // _BLOCK)) == 1:  # none left in the block divides n
+                stop = _candidates_upto(min(math.isqrt(n), trial_bound, cap))
+                j = walk_end = min(stop, block_end, work_limit)
                 continue
-            check = min(block_end, work_limit)  # walk the block, gcd the next
+            walk_end = min(block_end, work_limit)  # walk the rest of the block
         j += 1
         if n % d == 0:
             n //= d
@@ -337,9 +341,7 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
                 n //= d
                 e += 1
             cap = (yield d, e) or cap
-            if n == 1:
-                return
-            check = min(j + _WALK, work_limit)
+            walk_end = min(j + _WALK, work_limit)
 
     meter = _WorkMeter(work_limit - j)
     rng = None
@@ -352,15 +354,23 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
             continue
         rng = rng or random.Random(0xC0FFEE)  # built once, seeded so results are deterministic
         f = _brent_rho(m, meter, rng)
-        stack += (f, m // f)
+        stack.append(f)
+        stack.append(m // f)
     for pe in sorted(factors.items()):
         yield pe  # not yield from: a list iterator has no send()
 
 
 def factorize(n: int) -> Factorization:
-    """Canonical factorization of n >= 1 under the budget in force (the
-    innermost factor_budget block's, else DEFAULT_BUDGET); BudgetExceeded
-    when its work limit runs out, never a partial answer."""
+    """Canonical factorization of n >= 1, under the budget in force.
+
+    The budget is the one set by the innermost enclosing factor_budget
+    block, else DEFAULT_BUDGET.  The prime powers come from _prime_powers:
+    trial division by 2, 3, 5 and the candidates coprime to 30 up to
+    min(isqrt(n), budget.trial_bound), a block of them per gcd, then
+    Miller-Rabin plus Pollard-Brent for any remaining cofactor.  Raises
+    BudgetExceeded when the budget's work limit runs out; never returns a
+    partial answer.
+    """
     if n < 1:
         raise InvalidInput(f"factorize requires n >= 1, got {n}")
     return Factorization(tuple(_prime_powers(n)))

@@ -103,13 +103,12 @@ def _walk(powers: Iterator[tuple[int, int]], chain: list | None = None) -> tuple
     try:
         p, e = next(powers)
         while p <= running + 1:
-            running *= (p ** (e + 1) - 1) // (p - 1)  # sigma(p^e), inline: every scan runs it
+            running *= sigma_prime_power(p, e)
             if chain is not None:
                 chain.append((p, e, running))
             p, e = powers.send(running + 1)
     except StopIteration:
         return None
-    next(powers, None)  # a finished generator is freed faster than a suspended one
     return p, running + 1
 
 
@@ -123,8 +122,10 @@ def practical_from_factorization(f: Factorization, n: int | None = None) -> Prac
 
 def is_practical(n: int) -> PracticalityVerdict:
     """Decide practicality of n >= 1; the verdict carries replayable evidence.
+
     n is factored under the budget in force (see arith.factor_budget), and
-    BudgetExceeded from factorize propagates when its work limit runs out."""
+    BudgetExceeded from factorize propagates when its work limit runs out.
+    """
     if n < 1:
         raise InvalidInput(f"practicality is defined for n >= 1, got {n}")
     return practical_from_factorization(factorize(n), n)

@@ -176,8 +176,8 @@ def family_spec(j: int) -> FamilySpec:
 
 def family_member(j: int, index: int) -> int:
     """index-th smallest member (0-based) of the j family."""
-    if index < 0:
-        raise InvalidInput(f"index must be >= 0, got {index}")
+    if not 0 <= index < _FAMILY_COUNT_CAP:
+        raise InvalidInput(f"index {index} is not in 0..{_FAMILY_COUNT_CAP - 1} (_FAMILY_COUNT_CAP)")
     return family_stream(j, index + 1)[-1]
 
 

@@ -21,6 +21,7 @@ from practicum import (
     is_practical_quick,
     largest_practical_divisor,
     nonpractical_witness,
+    progressions,
 )
 from helpers import is_prime_trial
 
@@ -193,6 +194,12 @@ def test_nonpractical_witness_is_smallest():
 def test_nonpractical_witness_errors():
     with pytest.raises(SearchExhausted):
         nonpractical_witness([0, 2], search_bound=4)  # 2, 4, 6, 8 all practical
+    # 10^40 n is practical for every n below ~10^40: the bound is the only limit
+    cap = progressions._POLY_BOUND_CAP
+    with pytest.raises(SearchExhausted):
+        nonpractical_witness([0, 10**40], search_bound=1000)
+    with pytest.raises(InvalidInput, match=f"search bound {cap + 1} exceeds {cap} "):
+        nonpractical_witness([0, 10**40], search_bound=cap + 1)
     with pytest.raises(InvalidInput):
         nonpractical_witness([5])
     with pytest.raises(InvalidInput):

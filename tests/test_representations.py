@@ -154,6 +154,10 @@ def test_counts_are_capped_where_they_enter(capsys):
     assert family_stream(2, family_cap)[-1] % 8 == 2
     with pytest.raises(InvalidInput, match="_FAMILY_COUNT_CAP"):
         family_stream(3, family_cap + 1)
+    assert family_member(3, family_cap - 1) == family_stream(3, family_cap)[-1]
+    for index in (-1, family_cap):
+        with pytest.raises(InvalidInput, match=rf"index {index} is not in 0\.\.{family_cap - 1}"):
+            family_member(3, index)
     with pytest.raises(InvalidInput, match="_PALINDROMIC_COUNT_CAP"):
         palindromic_practicals(chain_cap + 1)
     assert chain_cap >= 19  # the certify workload of bench/run.py asks for 19
