@@ -135,14 +135,12 @@ def _evidence(ev) -> dict:
 # sieve cache
 
 
-def _get_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path]:
-    """Load any cached bitmap covering `limit`, else sieve and cache."""
-    from .sieve import PracticalBitmap, sieve_practicals
+def _cached_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path] | None:
+    """The smallest cached bitmap covering `limit`, if one loads."""
+    from .sieve import PracticalBitmap
 
-    cache_dir = Path(args.cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     best: tuple[int, Path] | None = None
-    for path in sorted(cache_dir.glob("practical-*.bits")):
+    for path in sorted(Path(args.cache_dir).glob("practical-*.bits")):
         try:
             cached_limit = int(path.stem.split("-")[1])
         except (IndexError, ValueError):
@@ -156,9 +154,21 @@ def _get_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path]:
             import logging
 
             logging.getLogger("practicum").warning(
-                "ignoring corrupt cache entry %s (%s); rebuilding", best[1], exc
+                "ignoring corrupt cache entry %s (%s)", best[1], exc
             )
+    return None
+
+
+def _get_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path]:
+    """Load any cached bitmap covering `limit`, else sieve and cache."""
+    cached = _cached_bitmap(args, limit)
+    if cached is not None:
+        return cached
+    from .sieve import sieve_practicals
+
     bitmap = sieve_practicals(limit)
+    cache_dir = Path(args.cache_dir)
+    cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"practical-{limit}.bits"
     # write beside the entry, then rename: readers never see a partial file
     tmp = cache_dir / f".{path.name}.{os.getpid()}.tmp"
@@ -202,16 +212,18 @@ def _cmd_sieve(args) -> dict:
 
 
 def _cmd_count(args) -> dict:
-    bounds = [args.x] + (args.report or [])
-    if min(bounds) < 1:  # before the bitmap cache is touched
-        raise InvalidInput(f"x and every checkpoint must be >= 1, got {min(bounds)}")
-    bitmap, _ = _get_bitmap(args, max(bounds))
-    out = {"x": args.x, "count": bitmap.count(args.x)}
-    if args.report:
-        from .sieve import density_report
+    """x and every checkpoint from a cached bitmap that covers them all, else
+    from one tree walk; count never builds or writes a bitmap."""
+    from .sieve import density_report
 
-        rows = density_report(args.report, bitmap)
-        out["rows"] = [{"x": x, "count": c, "ratio": ratio} for x, c, ratio in rows]
+    bounds = [args.x] + (args.report or [])
+    if min(bounds) < 1:  # before the bitmap cache is read
+        raise InvalidInput(f"x and every checkpoint must be >= 1, got {min(bounds)}")
+    cached = _cached_bitmap(args, max(bounds))
+    rows = density_report(bounds, cached[0] if cached else None)
+    out = {"x": args.x, "count": rows[0][1]}
+    if args.report:
+        out["rows"] = [{"x": x, "count": c, "ratio": ratio} for x, c, ratio in rows[1:]]
     return out
 
 

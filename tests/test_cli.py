@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -193,7 +194,7 @@ def test_cache_write_is_atomic(capsys, tmp_path, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(PracticalBitmap, "save", failing_save)
-        code, out, err = run_cli(capsys, "count", "100")
+        code, out, err = run_cli(capsys, "sieve", "--limit", "100")
     assert code == 2 and out == "" and "no space" in err
     assert list(cache.iterdir()) == []
 
@@ -204,18 +205,61 @@ def test_cache_write_is_atomic(capsys, tmp_path, monkeypatch):
 
 def test_corrupt_cache_entry_is_logged_and_rebuilt(capsys, caplog, tmp_path, monkeypatch):
     monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path / "clean"))
-    clean = run_cli(capsys, "count", "500")
+    clean = run_cli(capsys, "triples", "--limit", "498")
     cache = tmp_path / "cache"
     cache.mkdir()
     corrupt = cache / "practical-1000.bits"
     corrupt.write_bytes(b"NOPE" + bytes(200))
     monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(cache))
     with caplog.at_level(logging.WARNING, logger="practicum"):
-        assert run_cli(capsys, "count", "500") == clean  # stdout, stderr and exit code
+        assert run_cli(capsys, "triples", "--limit", "498") == clean  # stdout, stderr and exit code
     [record] = caplog.records
     assert record.name == "practicum" and record.levelno == logging.WARNING
     assert str(corrupt) in record.getMessage()
     assert (cache / "practical-500.bits").exists()
+
+
+def test_count_skips_a_corrupt_cache_entry_without_writing(capsys, caplog, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    corrupt = cache / "practical-1000.bits"
+    corrupt.write_bytes(b"NOPE" + bytes(200))
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(cache))
+    with caplog.at_level(logging.WARNING, logger="practicum"):
+        data = run_json(capsys, "count", "500", "--report", "20,500")
+    assert data == {"x": 500, "count": 110, "rows": [
+        {"x": 20, "count": 9, "ratio": 9 * math.log(20) / 20},
+        {"x": 500, "count": 110, "ratio": 110 * math.log(500) / 500}]}
+    [record] = caplog.records
+    assert str(corrupt) in record.getMessage()
+    assert list(cache.iterdir()) == [corrupt]
+
+
+def test_count_never_builds_or_writes_a_bitmap(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(cache))
+    data = run_json(capsys, "count", "10000", "--report", "10000,100,10,100")
+    assert [data["count"]] + [row["count"] for row in data["rows"]] == [1456, 1456, 30, 5, 30]
+    assert list(cache.iterdir()) == []  # a cache miss leaves the cache directory empty
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path / "absent"))
+    assert run_json(capsys, "count", "100")["count"] == 30
+    assert not (tmp_path / "absent").exists()
+    # a cached bitmap answers only when it covers x and every checkpoint
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(cache))
+    run_json(capsys, "sieve", "--limit", "1000")
+    with monkeypatch.context() as m:
+        m.setattr(PracticalBitmap, "count", lambda self, x: -1)
+        assert run_json(capsys, "count", "1000", "--report", "10")["count"] == -1
+        assert run_json(capsys, "count", "500", "--report", "1001")["count"] == 110
+    assert [p.name for p in cache.iterdir()] == ["practical-1000.bits"]
+
+
+def test_count_beyond_the_bitmap_memory_budget(capsys, tmp_path, monkeypatch):
+    # a bitmap to 2.2 * 10^9 exceeds the 2 GiB memory budget; the tree count does not
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path))
+    assert run_json(capsys, "count", "2200000000")["count"] == 137323446
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_integers_beyond_the_str_digit_limit(capsys):
@@ -257,8 +301,8 @@ def test_config_file(capsys, tmp_path, monkeypatch):
     # cache directory: flag > config file > PRACTICUM_CACHE_DIR
     monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path / "env"))
     cfg.write_text(json.dumps({"cache-dir": str(tmp_path / "file")}))
-    run_json(capsys, "--config", str(cfg), "count", "10")
-    run_json(capsys, "--config", str(cfg), "--cache-dir", str(tmp_path / "flag"), "count", "10")
+    run_json(capsys, "--config", str(cfg), "sieve", "--limit", "10")
+    run_json(capsys, "--config", str(cfg), "--cache-dir", str(tmp_path / "flag"), "sieve", "--limit", "10")
     assert (tmp_path / "file" / "practical-10.bits").exists()
     assert (tmp_path / "flag" / "practical-10.bits").exists()
     assert not (tmp_path / "env").exists()

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +90,15 @@ def test_prime_table_extends_at_run_time(monkeypatch):
     assert [count_practicals(x) for x in (10, 999, 10**5)] == reference_counts
 
 
+def test_smooth_practicals_are_the_practical_2_3_smooth_numbers():
+    for limit in (1, 2, 5, 6, 17, 18, 10**4):
+        n, s = sieve._smooth_practicals(limit)
+        expected = [m for m in range(1, limit + 1)
+                    if m == 2 ** arith.valuation(m, 2) * 3 ** arith.valuation(m, 3) and is_practical_quick(m)]
+        assert sorted(n.tolist()) == expected, limit
+        assert s.tolist() == [arith.sigma(arith.factorize(int(m))) for m in n], limit
+
+
 def _quick_flags(limit):
     return np.array([False] + [is_practical_quick(n) for n in range(1, limit + 1)])
 
@@ -106,6 +117,118 @@ def test_level_walk_matches_quick_scan():
 
 def test_count_at_10_to_the_8_is_frozen():
     assert count_practicals(10**8) == 7266286
+
+
+def test_counts_at_10_to_the_9_and_10_are_frozen():
+    assert count_practicals(10**9) == 64782731
+    assert count_practicals(10**10) == 582798892
+
+
+def _walk_limits():
+    limits = list(range(1, 700))
+    for p in (2, 3, 5, 7, 11, 13):
+        limits += [x for k in range(1, 18) if p**k <= 2 * 10**5 for x in (p**k - 1, p**k, p**k + 1)]
+    return limits + [10**6, 4 * 10**6 + 3, 10**7]
+
+
+def test_walk_digest_is_frozen():
+    # every bitmap and count on 852 limits, as the level walk (commit 634616c) gave them
+    limits = _walk_limits()
+    assert len(limits) == 852
+    digest = hashlib.sha256()
+    for x in limits:
+        digest.update(f"{x} {count_practicals(x)}\n".encode())
+        digest.update(sieve_practicals(x).bits)
+    assert digest.hexdigest() == "c63eecdd61d23b9e2a81d4b11d365d94a6107c5066f44bc09a60846aadbac7b6"
+
+
+def test_one_pass_tallies_match_bitmap_counts():
+    X = 2 * 10**5
+    bm = sieve_practicals(X)
+    rng = random.Random(17)
+    for trial in range(40):
+        top = X if trial % 2 else rng.randrange(2, X)
+        xs = rng.sample(range(1, top + 1), rng.randrange(1, 8)) + [1, top]
+        xs += rng.choices(xs, k=3)  # duplicates
+        rng.shuffle(xs)
+        expected = [bm.count(x) for x in xs]
+        assert [c for _, c, _ in density_report(xs)] == expected, xs
+        assert [x for x, _, _ in density_report(xs)] == xs
+        assert [count_practicals(x) for x in set(xs)] == [bm.count(x) for x in set(xs)]
+
+
+def test_bitmap_that_does_not_reach_x_falls_back_to_the_tree():
+    short = sieve_practicals(1000)
+    assert count_practicals(5000, short) == count_practicals(5000) == int(_quick_flags(5000).sum())
+    assert density_report([10, 5000], short) == density_report([10, 5000])
+    assert count_practicals(1000, short) == short.count()
+
+
+def test_small_blocks_keep_every_count_and_bound_the_nodes_in_flight(monkeypatch):
+    # with 7-node blocks every job is split across many takes
+    monkeypatch.setattr(sieve, "_BLOCK", 7)
+    take = sieve._take
+    stacks = []
+
+    def recording_take(stack, primes):
+        stacks.append([len(job[0]) for job in stack])
+        return take(stack, primes)
+
+    monkeypatch.setattr(sieve, "_take", recording_take)
+    reference = _quick_flags(3 * 10**4)
+    for x in (1, 2, 17, 64, 729, 10**4, 3 * 10**4):
+        stacks.clear()
+        assert np.array_equal(sieve_practicals(x).flags, reference[: x + 1]), x
+        assert count_practicals(x) == int(reference[: x + 1].sum()), x
+        blocks = [len(n) for n, *_ in sieve._tree_blocks(x)]
+        assert max(blocks[1:], default=0) <= 7, x  # every block after the first
+        depth = int(math.log(x, 5) + 1e-9)  # the part prime to 6 of a depth-d node is >= 5^d
+        assert all(len(jobs) <= depth and max(jobs[1:], default=0) <= 7 for jobs in stacks), x
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_memory_stays_within_its_budget():
+    for x in (10**4, 10**6, 10**8):
+        assert _traced_peak(lambda: count_practicals(x)) <= sieve._walk_bytes(x), x
+        assert count_practicals(x, memory_budget=sieve._walk_bytes(x)) > 0
+        with pytest.raises(MemoryBudgetExceeded):
+            count_practicals(x, memory_budget=sieve._walk_bytes(x) - 1)
+    for x in (10**4, 10**7):
+        need = x + 1 + (x + 8) // 8 + sieve._walk_bytes(x)
+        assert _traced_peak(lambda: sieve_practicals(x)) <= need, x
+        assert sieve_practicals(x, memory_budget=need).limit == x
+        with pytest.raises(MemoryBudgetExceeded):
+            sieve_practicals(x, memory_budget=need - 1)
+
+
+def test_budget_errors_name_their_knob():
+    need = sieve._walk_bytes(10**6)
+    with pytest.raises(MemoryBudgetExceeded, match=f"needs {need} bytes, over memory_budget = {need - 1}"):
+        count_practicals(10**6, memory_budget=need - 1)
+    with pytest.raises(MemoryBudgetExceeded, match="memory_budget"):
+        density_report([10, 10**6], memory_budget=1000)
+    with pytest.raises(MemoryBudgetExceeded, match="memory_budget = 1000$"):
+        sieve_practicals(10**6, memory_budget=1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, math.isqrt((1 << 59) - 1) - 1), v=st.integers(0, (1 << 59) - 1))
+def test_int64_isqrt_matches_math_isqrt(k, v):
+    # (2^26 + 1)^2 - 1 is the first value whose truncated float root is one high
+    values = [k * k, k * k + 1, (k + 1) ** 2 - 1, max(k * k - 1, 0), v,
+              (1 << 52) - 1, 1 << 52, (2**26 + 1) ** 2 - 1, (1 << 59) - 1]
+    for u in values:  # alone, so each array takes its own branch
+        assert sieve._isqrt(np.array([u], dtype=np.int64)).tolist() == [math.isqrt(u)], u
+    got = sieve._isqrt(np.array(values, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(u) for u in values]
 
 
 def test_count_rejects_bounds_beyond_int64_walk():
