@@ -268,14 +268,12 @@ def sieve_practicals(
     limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET
 ) -> PracticalBitmap:
     """Bitmap of practical numbers on [1, limit]: per block of the walk, one
-    scatter for its nodes and one per 1024 nodes for their leaves.  The
-    memory check counts the bool array, the packed bits and the walk."""
+    scatter for its nodes and one per 1024 nodes for their leaves."""
     if limit < 1:
         raise InvalidInput(f"sieve limit must be >= 1, got {limit}")
-    need = limit + 1 + (limit + 8) // 8 + _walk_bytes(limit)
-    if need > memory_budget:
+    if limit + 1 > memory_budget:
         raise MemoryBudgetExceeded(
-            f"bitmap for limit {limit} needs {need} bytes, over memory_budget = {memory_budget}"
+            f"bitmap for limit {limit} needs {limit + 1} bytes, over memory_budget = {memory_budget}"
         )
     import numpy as np
 
@@ -288,12 +286,11 @@ def sieve_practicals(
     return PracticalBitmap(flags)
 
 
-def _counts(
-    xs: list[int], bitmap: PracticalBitmap | None, memory_budget: int
-) -> list[int]:
+def _counts(xs: list[int], bitmap: PracticalBitmap | None) -> list[int]:
     """The number of practical numbers <= x for each x in xs: from the bitmap
-    when it reaches max(xs), else from one walk to max(xs).  A node m counts
-    towards x when m <= x, its leaves m * q when q <= x // m."""
+    when it reaches max(xs), else from one walk to max(xs), whose
+    _walk_bytes must fit DEFAULT_MEMORY_BUDGET.  A node m counts towards x
+    when m <= x, its leaves m * q when q <= x // m."""
     if min(xs) < 1:
         raise InvalidInput(f"count bound must be >= 1, got {min(xs)}")
     limit = max(xs)
@@ -302,9 +299,9 @@ def _counts(
     if limit >= 1 << 59:  # below it, sigma(m) + 1 <= 7 * limit stays under 2^63
         raise InvalidInput(f"count bound must be < 2^59 for the int64 tree walk, got {limit}")
     need = _walk_bytes(limit)
-    if need > memory_budget:
+    if need > DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetExceeded(
-            f"tree walk to {limit} needs {need} bytes, over memory_budget = {memory_budget}"
+            f"tree walk to {limit} needs {need} bytes, over memory_budget = {DEFAULT_MEMORY_BUDGET}"
         )
     import numpy as np
 
@@ -318,18 +315,14 @@ def _counts(
     return [tally[x] for x in xs]
 
 
-def count_practicals(
-    x: int, bitmap: PracticalBitmap | None = None, memory_budget: int = DEFAULT_MEMORY_BUDGET
-) -> int:
+def count_practicals(x: int, bitmap: PracticalBitmap | None = None) -> int:
     """Exact count of practical numbers <= x: the bitmap's when it reaches
     x, else the tree's node count plus its leaf range lengths."""
-    return _counts([x], bitmap, memory_budget)[0]
+    return _counts([x], bitmap)[0]
 
 
 def density_report(
-    checkpoints: list[int],
-    bitmap: PracticalBitmap | None = None,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
+    checkpoints: list[int], bitmap: PracticalBitmap | None = None
 ) -> list[tuple[int, int, float]]:
     """Rows (x, count, count * ln(x) / x) for each checkpoint, every count
     from the bitmap when it reaches them all, else from one tree walk.
@@ -340,5 +333,5 @@ def density_report(
     """
     if not checkpoints:
         return []
-    counts = _counts(checkpoints, bitmap, memory_budget)
+    counts = _counts(checkpoints, bitmap)
     return [(x, c, c * math.log(x) / x if x > 1 else 0.0) for x, c in zip(checkpoints, counts)]

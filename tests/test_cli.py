@@ -260,6 +260,21 @@ def test_count_beyond_the_bitmap_memory_budget(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path))
     assert run_json(capsys, "count", "2200000000")["count"] == 137323446
     assert list(tmp_path.iterdir()) == []
+    # the bitmap's own limit is unchanged: 2^31 - 1 fits 2^31 bytes, 2^31 does not
+    code, out, err = run_cli(capsys, "sieve", "--limit", str(2**31))
+    assert (code, out) == (2, "") and f"needs {2**31 + 1} bytes, over memory_budget = {2**31}" in err
+
+
+def test_count_caps_x_and_every_checkpoint(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path))
+    for argv in (["count", str(10**12 + 1)], ["count", "10", "--report", f"20,{10**12 + 1}"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and f"<= {10**12} (_COUNT_CAP), got {10**12 + 1}" in err
+    # at the cap a count runs; past it, not (a small cap keeps the walk short)
+    monkeypatch.setattr(cli, "_COUNT_CAP", 1000)
+    assert run_json(capsys, "count", "100", "--report", "1000")["rows"][0]["count"] == 198
+    assert run_cli(capsys, "count", "1001")[0] == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_integers_beyond_the_str_digit_limit(capsys):

@@ -195,27 +195,27 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_walk_memory_stays_within_its_budget():
+def test_walk_memory_stays_within_its_budget(monkeypatch):
     for x in (10**4, 10**6, 10**8):
         assert _traced_peak(lambda: count_practicals(x)) <= sieve._walk_bytes(x), x
-        assert count_practicals(x, memory_budget=sieve._walk_bytes(x)) > 0
-        with pytest.raises(MemoryBudgetExceeded):
-            count_practicals(x, memory_budget=sieve._walk_bytes(x) - 1)
-    for x in (10**4, 10**7):
-        need = x + 1 + (x + 8) // 8 + sieve._walk_bytes(x)
-        assert _traced_peak(lambda: sieve_practicals(x)) <= need, x
-        assert sieve_practicals(x, memory_budget=need).limit == x
-        with pytest.raises(MemoryBudgetExceeded):
-            sieve_practicals(x, memory_budget=need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(sieve, "DEFAULT_MEMORY_BUDGET", sieve._walk_bytes(x))
+            assert count_practicals(x) > 0
+            m.setattr(sieve, "DEFAULT_MEMORY_BUDGET", sieve._walk_bytes(x) - 1)
+            with pytest.raises(MemoryBudgetExceeded):
+                count_practicals(x)
+    monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", 0)
+    assert count_practicals(10**4, sieve_practicals(10**4)) == 1456  # a covering bitmap needs no walk
 
 
-def test_budget_errors_name_their_knob():
+def test_budget_errors_name_their_knob(monkeypatch):
     need = sieve._walk_bytes(10**6)
+    monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", need - 1)
     with pytest.raises(MemoryBudgetExceeded, match=f"needs {need} bytes, over memory_budget = {need - 1}"):
-        count_practicals(10**6, memory_budget=need - 1)
+        count_practicals(10**6)
     with pytest.raises(MemoryBudgetExceeded, match="memory_budget"):
-        density_report([10, 10**6], memory_budget=1000)
-    with pytest.raises(MemoryBudgetExceeded, match="memory_budget = 1000$"):
+        density_report([10, 10**6])
+    with pytest.raises(MemoryBudgetExceeded, match="needs 1000001 bytes, over memory_budget = 1000$"):
         sieve_practicals(10**6, memory_budget=1000)
 
 
