@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # runs, and numpy only when a bitmap is built or an array asked for.
 _EXPORTS = {
     "arith": (
-        "DEFAULT_BUDGET", "FactorBudget", "Factorization", "crt_solve", "factor_budget",
-        "factorize", "prime_stream", "primes_upto", "sigma", "sigma_prime_power", "valuation",
+        "Factorization", "crt_solve", "factor_budget", "factorize", "prime_stream",
+        "primes_upto", "sigma", "sigma_prime_power", "valuation",
     ),
     "errors": (
         "BoundViolated", "BudgetExceeded", "ClassificationMismatch", "FalsificationSignal",

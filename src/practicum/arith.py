@@ -1,7 +1,8 @@
 """Exact integer arithmetic substrate.
 
-Factorization (a trial stage that yields prime powers in increasing order,
-then Pollard-Brent, behind a work budget set for a scope by factor_budget),
+Factorization (a trial stage that yields prime powers in increasing order
+up to _TRIAL_BOUND, then Pollard-Brent, under a work limit that
+factor_budget sets for a scope),
 divisor sums, p-adic valuations, a CRT solver that accepts non-coprime
 moduli and the two ways primes are produced: prime_stream walks 2, 3, 4, ...
 through the primality test _is_prime (Miller-Rabin, proven below psi_13 ~
@@ -34,43 +35,29 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
 
-@dataclass(frozen=True)
-class FactorBudget:
-    """Work allowance for factorize().
-
-    trial_bound  -- largest trial-division candidate before switching to rho
-    work_limit   -- total charged operations (trial candidates + rho steps)
-
-    Trial division charges one unit per wheel candidate passed, whether the
-    candidate was divided into n or cleared with its block by one gcd, so
-    both limits mean what they meant for a candidate-by-candidate loop.
-    """
-
-    trial_bound: int = 1 << 16
-    work_limit: int = 1 << 23
-
-
-DEFAULT_BUDGET = FactorBudget()
-
-# The budget factorize() runs under.  It crosses every layer between a
-# command and the factorizations it causes, none of which owns it, so it is
-# set for a scope rather than passed down.
-_budget: ContextVar[FactorBudget] = ContextVar("factor_budget", default=DEFAULT_BUDGET)
+# Trial division stops at the first wheel candidate above _TRIAL_BOUND.  A
+# factorization may charge work_limit units: one per wheel candidate passed,
+# divided into n or cleared with its block by one gcd, and one per rho step.
+# The limit crosses every layer between a command and the factorizations it
+# causes, none of which owns it, so factor_budget sets it for a scope.
+_TRIAL_BOUND = 1 << 16
+DEFAULT_WORK_LIMIT = 1 << 23
+_work_limit: ContextVar[int] = ContextVar("factor_budget", default=DEFAULT_WORK_LIMIT)
 
 
 @contextmanager
-def factor_budget(budget: FactorBudget) -> Iterator[None]:
-    """Make every factorize() inside the with block run under budget.
+def factor_budget(work_limit: int) -> Iterator[None]:
+    """Make every factorize() inside the with block run under work_limit.
 
-    On exit the budget in force before the block is restored, also when the
-    block raises, so blocks nest.  The budget is a context variable: a new
-    thread starts with DEFAULT_BUDGET, an asyncio task with its creator's.
+    On exit the limit in force before the block is restored, also when the
+    block raises, so blocks nest.  The limit is a context variable: a new
+    thread starts with DEFAULT_WORK_LIMIT, an asyncio task with its creator's.
     """
-    token = _budget.set(budget)
+    token = _work_limit.set(work_limit)
     try:
         yield
     finally:
-        _budget.reset(token)
+        _work_limit.reset(token)
 
 
 @dataclass(frozen=True)
@@ -209,12 +196,10 @@ def _strong_lucas(n: int) -> bool:
 
 # Trial division runs over the integers >= 7 coprime to 30, the candidate with
 # index j being 30 * (j // 8) + _WHEEL[j % 8].  Blocks of _BLOCK consecutive
-# candidates are tested by one gcd with their product; the products are kept
-# for the first _CACHED_BLOCKS blocks (candidates below ~10^6) and made on the
-# fly beyond them, so a huge trial bound costs time, not memory.
+# candidates are tested by one gcd with their product, kept once made: the
+# candidates up to _TRIAL_BOUND fill 69 blocks.
 _WHEEL = (7, 11, 13, 17, 19, 23, 29, 31)
 _BLOCK = 256
-_CACHED_BLOCKS = 1024
 _WALK = 16  # candidates tried one by one before a gcd clears the rest of a block
 _block_products: dict[int, int] = {}
 
@@ -230,10 +215,8 @@ def _block_product(b: int) -> int:
     product = _block_products.get(b)
     if product is None:
         span = 30 * (_BLOCK // 8)
-        product = math.prod(math.prod(range(span * b + w, span * (b + 1) + w, 30))
-                            for w in _WHEEL)
-        if b < _CACHED_BLOCKS:
-            _block_products[b] = product
+        product = _block_products[b] = math.prod(
+            math.prod(range(span * b + w, span * (b + 1) + w, 30)) for w in _WHEEL)
     return product
 
 
@@ -252,7 +235,7 @@ class _WorkMeter:
 def _out_of_work(n: int) -> BudgetExceeded:
     return BudgetExceeded(
         f"factorization work limit exhausted while factoring {n}: "
-        "raise --factor-work (FactorBudget.work_limit)"
+        "raise --factor-work (factor_budget's work_limit)"
     )
 
 
@@ -290,9 +273,9 @@ def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
 
 
 def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], int | None, None]:
-    """The prime powers (p, e) of n >= 1 in increasing p, under the budget in force.
+    """The prime powers (p, e) of n >= 1 in increasing p, under the work limit in force.
 
-    2, 3 and 5, then the wheel candidates up to min(isqrt(n), trial_bound):
+    2, 3 and 5, then the wheel candidates up to min(isqrt(n), _TRIAL_BOUND):
     _WALK of them one by one, the rest of their block by one gcd, and a
     block the gcd flags one by one; then Miller-Rabin and Pollard-Brent on
     what is left.  A caller walking Stewart's chain sends its bound
@@ -312,8 +295,7 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
                 n //= p
                 e += 1
             cap = (yield p, e) or cap
-    budget = _budget.get()
-    trial_bound, work_limit = budget.trial_bound, budget.work_limit
+    trial_bound, work_limit = _TRIAL_BOUND, _work_limit.get()
     j = 0  # index of the next wheel candidate 7, 11, 13, ..., and the work charged so far
     walk_end = min(_WALK, work_limit)  # where the work runs out or a gcd tests the rest of a block
     while True:
@@ -361,15 +343,15 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
 
 
 def factorize(n: int) -> Factorization:
-    """Canonical factorization of n >= 1, under the budget in force.
+    """Canonical factorization of n >= 1, under the work limit in force.
 
-    The budget is the one set by the innermost enclosing factor_budget
-    block, else DEFAULT_BUDGET.  The prime powers come from _prime_powers:
-    trial division by 2, 3, 5 and the candidates coprime to 30 up to
-    min(isqrt(n), budget.trial_bound), a block of them per gcd, then
+    The limit is the one set by the innermost enclosing factor_budget
+    block, else DEFAULT_WORK_LIMIT.  The prime powers come from
+    _prime_powers: trial division by 2, 3, 5 and the candidates coprime to
+    30 up to min(isqrt(n), _TRIAL_BOUND), a block of them per gcd, then
     Miller-Rabin plus Pollard-Brent for any remaining cofactor.  Raises
-    BudgetExceeded when the budget's work limit runs out; never returns a
-    partial answer.
+    BudgetExceeded when the work limit runs out; never returns a partial
+    answer.
     """
     if n < 1:
         raise InvalidInput(f"factorize requires n >= 1, got {n}")

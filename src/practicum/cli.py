@@ -21,7 +21,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .arith import DEFAULT_BUDGET, FactorBudget, factor_budget
+from .arith import DEFAULT_WORK_LIMIT, factor_budget
 from .errors import (
     ClassificationMismatch,
     FalsificationSignal,
@@ -50,11 +50,9 @@ if TYPE_CHECKING:
 _GLOBAL_FLAGS = {
     "format": "json",
     "cache-dir": str(Path.home() / ".cache" / "practicum"),
-    "sieve-limit": 10**6,
     "oracle-bound": DEFAULT_ORACLE_BOUND,
     "scan-bound": 10**5,
-    "trial-bound": DEFAULT_BUDGET.trial_bound,
-    "factor-work": DEFAULT_BUDGET.work_limit,
+    "factor-work": DEFAULT_WORK_LIMIT,
 }
 _FORMATS = ("json", "csv", "plain")
 # The largest x and checkpoint `count` takes: its tree walk took 7.1 s and
@@ -139,7 +137,8 @@ def _evidence(ev) -> dict:
 
 
 def _cached_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path] | None:
-    """The smallest cached bitmap covering `limit`, if one loads."""
+    """The smallest cached bitmap covering `limit`, if it loads and its
+    header's limit is the one in its name."""
     from .sieve import PracticalBitmap
 
     best: tuple[int, Path] | None = None
@@ -152,7 +151,10 @@ def _cached_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path] | None:
             best = (cached_limit, path)
     if best is not None:
         try:
-            return PracticalBitmap.load(best[1]), best[1]
+            bitmap = PracticalBitmap.load(best[1])
+            if bitmap.limit != best[0]:  # a renamed or misplaced file
+                raise InvalidInput(f"header limit {bitmap.limit} differs from its name")
+            return bitmap, best[1]
         except PracticumError as exc:
             import logging
 
@@ -204,14 +206,13 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_sieve(args) -> dict:
-    limit = args.limit if args.limit is not None else args.sieve_limit
-    if limit < 1:  # before the bitmap cache is touched
-        raise InvalidInput(f"sieve limit must be >= 1, got {limit}")
-    bitmap, path = _get_bitmap(args, limit)
+    if args.limit < 1:  # before the bitmap cache is touched
+        raise InvalidInput(f"sieve limit must be >= 1, got {args.limit}")
+    bitmap, path = _get_bitmap(args, args.limit)
     if args.out:
         path = Path(args.out)
         bitmap.save(path)
-    return {"limit": limit, "count": bitmap.count(limit), "path": str(path)}
+    return {"limit": args.limit, "count": bitmap.count(args.limit), "path": str(path)}
 
 
 def _cmd_count(args) -> dict:
@@ -431,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("sieve", help="build or reuse a practical-number bitmap")
-    p.add_argument("--limit", type=int, default=None,
-                   help="defaults to the configured sieve-limit")
+    p.add_argument("--limit", type=int, default=10**6, help="default 10^6")
     p.add_argument("--out", default=None, help="also write the bitmap here")
     p.set_defaults(func=_cmd_sieve)
 
@@ -558,7 +558,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _resolve_globals(args)
-        with factor_budget(FactorBudget(args.trial_bound, args.factor_work)):
+        with factor_budget(args.factor_work):
             payload = args.func(args)
         emit(payload, args.format)
         return 0

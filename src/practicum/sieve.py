@@ -14,7 +14,7 @@ The walk holds its nodes as numpy arrays, at most _BLOCK of them per
 block, and its pending nodes on a stack that it empties deepest first, so
 its memory is bounded however large the limit.  Counts add node counts and
 leaf-range lengths, for every checkpoint in the same pass; the fill
-scatters both.
+scatters both.  Each checks its memory against DEFAULT_MEMORY_BUDGET.
 
 A bitmap is a little-endian bit array over 0..limit (bit n % 8 of byte
 n // 8 is set when n is practical), held in memory as the bytes it
@@ -264,17 +264,21 @@ def _tree_blocks(limit: int):
         lo = last + (primes[last] > top)  # lo = last: m * p <= limit is a child
 
 
-def sieve_practicals(
-    limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET
-) -> PracticalBitmap:
+def _check_memory(what: str, need: int) -> None:
+    """Raise when need bytes exceed DEFAULT_MEMORY_BUDGET, read at call time."""
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetExceeded(
+            f"{what} needs {need} bytes, over sieve.DEFAULT_MEMORY_BUDGET = {DEFAULT_MEMORY_BUDGET}"
+            f" (the largest sieve --limit it fits is {DEFAULT_MEMORY_BUDGET - 1})"
+        )
+
+
+def sieve_practicals(limit: int) -> PracticalBitmap:
     """Bitmap of practical numbers on [1, limit]: per block of the walk, one
     scatter for its nodes and one per 1024 nodes for their leaves."""
     if limit < 1:
         raise InvalidInput(f"sieve limit must be >= 1, got {limit}")
-    if limit + 1 > memory_budget:
-        raise MemoryBudgetExceeded(
-            f"bitmap for limit {limit} needs {limit + 1} bytes, over memory_budget = {memory_budget}"
-        )
+    _check_memory(f"bitmap for limit {limit}", limit + 1)
     import numpy as np
 
     flags = np.zeros(limit + 1, dtype=bool)
@@ -298,11 +302,7 @@ def _counts(xs: list[int], bitmap: PracticalBitmap | None) -> list[int]:
         return [bitmap.count(x) for x in xs]
     if limit >= 1 << 59:  # below it, sigma(m) + 1 <= 7 * limit stays under 2^63
         raise InvalidInput(f"count bound must be < 2^59 for the int64 tree walk, got {limit}")
-    need = _walk_bytes(limit)
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetExceeded(
-            f"tree walk to {limit} needs {need} bytes, over memory_budget = {DEFAULT_MEMORY_BUDGET}"
-        )
+    _check_memory(f"tree walk to {limit}", _walk_bytes(limit))
     import numpy as np
 
     below = sorted(set(xs) - {limit})

@@ -1,13 +1,12 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 
 from practicum import arith
 from practicum import (
-    DEFAULT_BUDGET,
     BudgetExceeded,
-    FactorBudget,
     Factorization,
     InconsistentSystem,
     InvalidInput,
@@ -40,15 +39,21 @@ def test_factorize_roundtrip_random():
         assert primes == sorted(primes)
 
 
+_TB = arith._TRIAL_BOUND  # the trial bound factorize runs with
+
+
 def _factorize_under(n, budget):
-    with factor_budget(budget):
+    """factorize(n) under budget = (trial_bound, work_limit): the work limit
+    set by factor_budget, the trial bound by patching arith._TRIAL_BOUND."""
+    trial_bound, work_limit = budget
+    with factor_budget(work_limit), mock.patch.object(arith, "_TRIAL_BOUND", trial_bound):
         return factorize(n)
 
 
 def test_factorize_second_stage():
     # both factors above the trial bound: forces the rho stage
     p, q = 1_000_003, 1_000_033
-    f = _factorize_under(p * q, FactorBudget(trial_bound=10**4, work_limit=1 << 23))
+    f = _factorize_under(p * q, (10**4, 1 << 23))
     assert f.factors == ((p, 1), (q, 1))
     f = factorize(p * p * q)
     assert f.factors == ((p, 2), (q, 1))
@@ -57,13 +62,14 @@ def test_factorize_second_stage():
 def test_factorize_budget_exceeded():
     n = (2**61 - 1) * (2**89 - 1)
     with pytest.raises(BudgetExceeded):
-        _factorize_under(n, FactorBudget(trial_bound=100, work_limit=1000))
+        _factorize_under(n, (100, 1000))
 
 
-def test_factor_budget_restores_the_outer_budget():
+def test_factor_budget_restores_the_outer_budget(monkeypatch):
+    monkeypatch.setattr(arith, "_TRIAL_BOUND", 100)
     n = 1_000_003 * 1_000_033  # 10 units of work do not reach its factors
     factors = ((1_000_003, 1), (1_000_033, 1))
-    tight, loose = FactorBudget(100, 10), FactorBudget(100, 1 << 23)
+    tight, loose = 10, 1 << 23
     with factor_budget(tight):
         with pytest.raises(BudgetExceeded):
             factorize(n)
@@ -77,7 +83,7 @@ def test_factor_budget_restores_the_outer_budget():
             assert factorize(n).factors == factors
         with pytest.raises(BudgetExceeded):  # the inner exit restored tight
             factorize(n)
-    assert arith._budget.get() is DEFAULT_BUDGET
+    assert arith._work_limit.get() == arith.DEFAULT_WORK_LIMIT
 
 
 def test_factorize_rejects_nonpositive():
@@ -210,9 +216,10 @@ def test_jacobi_matches_eulers_criterion():
 
 def _wheel_loop_factorize(n, budget):
     """factorize with the per-candidate wheel loop it used before block gcds."""
+    trial_bound, work_limit = budget
     if n == 1:
         return Factorization(())
-    meter = arith._WorkMeter(budget.work_limit)
+    meter = arith._WorkMeter(work_limit)
     factors = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -221,7 +228,7 @@ def _wheel_loop_factorize(n, budget):
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d * d <= n and d <= budget.trial_bound:
+    while d * d <= n and d <= trial_bound:
         meter.left -= 1  # meter.charge(1, n), inlined to keep the oracle fast
         if meter.left < 0:
             meter.charge(0, n)
@@ -278,8 +285,7 @@ def test_block_gcd_trial_division_matches_the_wheel_loop():
         else:
             n = rng.choice(straddling) ** rng.randrange(1, 3) * rng.choice(straddling)
             n *= rng.choice(small) ** rng.randrange(0, 3) * rng.randrange(1, 100)
-        _assert_matches_wheel_loop(n, FactorBudget(rng.choice(_TRIAL_BOUNDS),
-                                                   rng.choice(_WORK_LIMITS)))
+        _assert_matches_wheel_loop(n, (rng.choice(_TRIAL_BOUNDS), rng.choice(_WORK_LIMITS)))
 
 
 def _candidate(j):
@@ -301,7 +307,7 @@ def test_prime_factor_at_a_block_edge():
     assert len(ends) >= 10
     for c in ends:
         for n in (c, c * c, 2 * c * 1_000_003, c * 65537**2, c**3 * (c + 2)):
-            f = _assert_matches_wheel_loop(n, FactorBudget(work_limit=1 << 23))
+            f = _assert_matches_wheel_loop(n, (_TB, 1 << 23))
             assert dict(f.factors)[c] >= 1
 
 
@@ -314,13 +320,13 @@ def test_trial_bound_on_between_and_inside_blocks():
         work = _wheel_index(tb + 1)  # candidates <= tb, each charged once
         assert arith._candidates_upto(tb) == work
         for limit in (work - 1, work, 1 << 23):
-            _assert_matches_wheel_loop(n, FactorBudget(tb, limit))
-        f = _factorize_under(1_000_003 * 1_000_033 ** 2, FactorBudget(tb, 1 << 23))
+            _assert_matches_wheel_loop(n, (tb, limit))
+        f = _factorize_under(1_000_003 * 1_000_033 ** 2, (tb, 1 << 23))
         assert f.factors == ((1_000_003, 1), (1_000_033, 2))
         prime = 10**12 + 39
-        assert _factorize_under(prime, FactorBudget(tb, work)).factors == ((prime, 1),)
+        assert _factorize_under(prime, (tb, work)).factors == ((prime, 1),)
         with pytest.raises(BudgetExceeded):
-            _factorize_under(prime, FactorBudget(tb, work - 1))
+            _factorize_under(prime, (tb, work - 1))
 
 
 def test_square_of_the_first_candidate_above_the_trial_bound():
@@ -329,10 +335,20 @@ def test_square_of_the_first_candidate_above_the_trial_bound():
         assert is_prime_trial(q)
         below = max(c for c in range(q) if c < 7 or math.gcd(c, 30) == 1)
         for tb in range(below, q):
-            budget = FactorBudget(tb, 1 << 23)
+            budget = (tb, 1 << 23)
             assert _assert_matches_wheel_loop(q * q, budget).factors == ((q, 2),)
             assert _factorize_under(q * q * 1_000_003, budget).factors == (
                 (q, 2), (1_000_003, 1))
+
+
+def test_block_product_cache_stays_bounded(monkeypatch):
+    # every input walks each block up to the trial bound and none past it,
+    # so the cache ends with exactly the blocks below the bound
+    monkeypatch.setattr(arith, "_block_products", {})
+    blocks = arith._candidates_upto(arith._TRIAL_BOUND) // arith._BLOCK + 1
+    for n in (65537 * 65539, 1_000_003 * 1_000_033**2, 10**30 + 57):
+        factorize(n)
+        assert sorted(arith._block_products) == list(range(blocks)), n
 
 
 def test_cofactor_drops_below_d_squared_inside_a_block():
@@ -343,8 +359,8 @@ def test_cofactor_drops_below_d_squared_inside_a_block():
     r = next(c for c in range(p * p + 1, 2 * p * p) if is_prime_trial(c))
     work = _wheel_index(p) + 1  # the walk stops right after p: q < next candidate^2
     for n, factors in ((p * q, ((p, 1), (q, 1))), (p**2 * r, ((p, 2), (r, 1)))):
-        assert _factorize_under(n, FactorBudget(work_limit=work)).factors == factors
+        assert _factorize_under(n, (_TB, work)).factors == factors
         with pytest.raises(BudgetExceeded):
-            _factorize_under(n, FactorBudget(work_limit=work - 1))
+            _factorize_under(n, (_TB, work - 1))
         for limit in (work - 1, work, 1 << 23):
-            _assert_matches_wheel_loop(n, FactorBudget(work_limit=limit))
+            _assert_matches_wheel_loop(n, (_TB, limit))

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import time_limit
-from practicum import cli, quadratics, representations
+from practicum import arith, cli, quadratics, representations
 from practicum.arith import crt_solve
 from practicum.cli import build_parser, main
-from practicum.sieve import PracticalBitmap
+from practicum.sieve import PracticalBitmap, sieve_practicals
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +235,26 @@ def test_count_skips_a_corrupt_cache_entry_without_writing(capsys, caplog, tmp_p
     assert list(cache.iterdir()) == [corrupt]
 
 
+def test_a_cache_entry_whose_header_limit_differs_from_its_name_is_skipped(
+        capsys, caplog, tmp_path, monkeypatch):
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path / "clean"))
+    clean = run_cli(capsys, "sieve", "--limit", "8000")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    misnamed = cache / "practical-9000.bits"
+    sieve_practicals(5000).save(misnamed)  # a bitmap to 5000 under a name that claims 9000
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(cache))
+    with caplog.at_level(logging.WARNING, logger="practicum"):
+        assert run_json(capsys, "count", "8000")["count"] == json.loads(clean[1])["count"]
+        code, out, err = run_cli(capsys, "sieve", "--limit", "8000")
+    assert (code, json.loads(out)["count"]) == (0, json.loads(clean[1])["count"]), err
+    assert len(caplog.records) == 2
+    for record in caplog.records:
+        assert str(misnamed) in record.getMessage()
+        assert "header limit 5000 differs from its name" in record.getMessage()
+    assert PracticalBitmap.load(cache / "practical-8000.bits").limit == 8000
+
+
 def test_count_never_builds_or_writes_a_bitmap(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -262,7 +282,9 @@ def test_count_beyond_the_bitmap_memory_budget(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
     # the bitmap's own limit is unchanged: 2^31 - 1 fits 2^31 bytes, 2^31 does not
     code, out, err = run_cli(capsys, "sieve", "--limit", str(2**31))
-    assert (code, out) == (2, "") and f"needs {2**31 + 1} bytes, over memory_budget = {2**31}" in err
+    assert (code, out) == (2, "")
+    assert f"needs {2**31 + 1} bytes, over sieve.DEFAULT_MEMORY_BUDGET = {2**31}" in err
+    assert f"the largest sieve --limit it fits is {2**31 - 1}" in err
 
 
 def test_count_caps_x_and_every_checkpoint(capsys, tmp_path, monkeypatch):
@@ -330,12 +352,12 @@ def test_config_file(capsys, tmp_path, monkeypatch):
 
 def test_bad_config_values_exit_2(capsys, tmp_path):
     cases = {
-        '{"sieve-limit": "abc"}': "sieve-limit",
+        '{"scan-bound": "abc"}': "scan-bound",
         '{"oracle-bound": null}': "oracle-bound",
         '{"format": "json",': "config file",
         '[["format", "plain"]]': "JSON object",
         '{"scan-bound": 0}': "scan-bound must be positive",
-        '{"trial-bound": 100.9}': "trial-bound",
+        '{"factor-work": 100.9}': "factor-work",
         '{"factor-work": true}': "factor-work",
     }
     cfg = tmp_path / "cfg.json"
@@ -359,11 +381,13 @@ def test_config_format_is_rejected_before_the_command_runs(capsys, tmp_path):
     assert not cache.exists() or list(cache.iterdir()) == []
 
 
-def test_exit_codes(capsys):
-    # usage errors: argparse exits 2
-    with pytest.raises(SystemExit) as exc:
-        main(["nonsense"])
-    assert exc.value.code == 2
+def test_exit_codes(capsys, monkeypatch):
+    # usage errors: argparse exits 2, also for the removed global flags
+    for argv in (["nonsense"], ["--trial-bound", "1", "test", "6"],
+                 ["--sieve-limit", "10", "sieve"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     for coeffs in ("1,,2", "x"):
         with pytest.raises(SystemExit) as exc:
             main(["poly", "witness", coeffs])
@@ -371,10 +395,12 @@ def test_exit_codes(capsys):
 
     # budget errors: exit 2
     big = str((2**61 - 1) * (2**89 - 1))
-    code, _, err = run_cli(capsys, "--factor-work", "1000", "--trial-bound", "100", "test", big)
+    with monkeypatch.context() as m:
+        m.setattr(arith, "_TRIAL_BOUND", 100)
+        code, _, err = run_cli(capsys, "--factor-work", "1000", "test", big)
     assert code == 2
     assert "work limit" in err
-    assert "raise --factor-work (FactorBudget.work_limit)" in err
+    assert "raise --factor-work (factor_budget's work_limit)" in err
 
     # scan and search limits: exit 2, naming the flag that raises them
     for argv in (("--scan-bound", "10", "ap", "stream", "3", "5", "--count", "100"),
@@ -428,7 +454,7 @@ _NEEDS_FACTORING = {
 
 def test_readme_lists_every_command_the_factor_budget_bounds(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    bullet = readme.split("- `--trial-bound`, `--factor-work`:", 1)[1]
+    bullet = readme.split("- `--factor-work`:", 1)[1]
     assert sorted(re.findall(r"`([^`]+)`", bullet.split(".", 1)[0])) == sorted(_NEEDS_FACTORING)
     for name, argv in _NEEDS_FACTORING.items():
         code, out, err = run_cli(capsys, "--factor-work", "1", *argv)

@@ -16,11 +16,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Every public name of `practicum`: those it had when it still imported its
-# modules eagerly (its bitmap API already lazy), and factor_budget.
+# modules eagerly (its bitmap API already lazy), and factor_budget, less
+# FactorBudget and DEFAULT_BUDGET (the factor budget is now one int).
 EXPORTS = (
     "APClassification", "APWitness", "BoundViolated", "BudgetExceeded",
-    "ClassificationMismatch", "DEFAULT_BUDGET", "FactorBudget", "Factorization",
-    "FalsificationSignal", "FamilySpec", "FiniteWitness", "InconsistentSystem",
+    "ClassificationMismatch", "Factorization", "FalsificationSignal", "FamilySpec",
+    "FiniteWitness", "InconsistentSystem",
     "InfiniteWitness", "InvalidInput", "InvalidJ", "InvalidResidue", "IterationCap",
     "MemoryBudgetExceeded", "MqResult", "MultiplierCertificate", "NotFound",
     "OracleBoundExceeded", "PalindromicEntry", "PolyWitness", "PracticalBitmap",

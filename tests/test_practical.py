@@ -3,10 +3,8 @@ import random
 import pytest
 
 from practicum import (
-    DEFAULT_BUDGET,
     BoundViolated,
     BudgetExceeded,
-    FactorBudget,
     InvalidInput,
     OracleBoundExceeded,
     certify_product,
@@ -18,7 +16,7 @@ from practicum import (
     sigma,
     sieve_practicals,
 )
-from practicum.arith import _is_prime
+from practicum.arith import _TRIAL_BOUND, _is_prime
 from practicum.practical import MultiplierCertificate, StewartWitness
 from helpers import time_limit
 
@@ -71,7 +69,7 @@ def test_quick_matches_full():
             assert is_practical_quick(m) == is_practical(m).practical, m
     # 2^k * p * q with p and q on both sides of the trial bound: the lazy
     # walk stops in the trial stage, in Miller-Rabin or after rho
-    bound = DEFAULT_BUDGET.trial_bound
+    bound = _TRIAL_BOUND
     for _ in range(600):
         p = _next_prime(rng.randrange(bound - 3000, bound + 3000))
         q = _next_prime(rng.randrange(3, 1 << rng.randrange(2, 40)))
@@ -86,7 +84,7 @@ def test_quick_hands_a_large_cofactor_to_miller_rabin():
     n = 2**120 * (10**30 + 57)
     with time_limit(2):
         assert is_practical_quick(n)
-    with factor_budget(FactorBudget(work_limit=1000)), pytest.raises(BudgetExceeded):
+    with factor_budget(1000), pytest.raises(BudgetExceeded):
         is_practical_quick(n)  # the trial stage alone passes ~17,000 candidates
     assert not is_practical_quick(2 * (10**30 + 57))  # stops at 3 > sigma(2) + 1
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from practicum import (
     BudgetExceeded,
     ClassificationMismatch,
-    FactorBudget,
     InvalidInput,
     ScanBudgetExceeded,
     SearchExhausted,
@@ -126,7 +125,7 @@ def test_stream_runs_under_the_factor_budget():
     # sigma(2^20) + 1 > 10^6, so deciding this term takes trial division
     # past 1000 candidates (it is practical)
     b = 2**20 * 1_000_003 * 1_000_033
-    with factor_budget(FactorBudget(work_limit=1000)):
+    with factor_budget(1000):
         with pytest.raises(BudgetExceeded):
             ap_practical_stream(1, b, 1)
         with pytest.raises(BudgetExceeded):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -204,19 +205,24 @@ def test_walk_memory_stays_within_its_budget(monkeypatch):
             m.setattr(sieve, "DEFAULT_MEMORY_BUDGET", sieve._walk_bytes(x) - 1)
             with pytest.raises(MemoryBudgetExceeded):
                 count_practicals(x)
+    bitmap = sieve_practicals(10**4)  # built first: the fill checks the same budget
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", 0)
-    assert count_practicals(10**4, sieve_practicals(10**4)) == 1456  # a covering bitmap needs no walk
+    assert count_practicals(10**4, bitmap) == 1456  # a covering bitmap needs no walk
 
 
 def test_budget_errors_name_their_knob(monkeypatch):
     need = sieve._walk_bytes(10**6)
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(MemoryBudgetExceeded, match=f"needs {need} bytes, over memory_budget = {need - 1}"):
+    knob = re.escape(f"over sieve.DEFAULT_MEMORY_BUDGET = {need - 1} ")
+    with pytest.raises(MemoryBudgetExceeded, match=f"needs {need} bytes, {knob}"):
         count_practicals(10**6)
-    with pytest.raises(MemoryBudgetExceeded, match="memory_budget"):
+    with pytest.raises(MemoryBudgetExceeded, match=r"sieve\.DEFAULT_MEMORY_BUDGET"):
         density_report([10, 10**6])
-    with pytest.raises(MemoryBudgetExceeded, match="needs 1000001 bytes, over memory_budget = 1000$"):
-        sieve_practicals(10**6, memory_budget=1000)
+    monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", 1000)
+    message = ("needs 1000001 bytes, over sieve.DEFAULT_MEMORY_BUDGET = 1000"
+               " (the largest sieve --limit it fits is 999)")
+    with pytest.raises(MemoryBudgetExceeded, match=re.escape(message) + "$"):
+        sieve_practicals(10**6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,9 +269,17 @@ def test_membership_range_checks():
         bm.count(0)
 
 
-def test_memory_budget():
+def test_memory_budget(monkeypatch):
+    # the fill reads sieve.DEFAULT_MEMORY_BUDGET when it runs, as the tree count does
+    monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", 1000)
     with pytest.raises(MemoryBudgetExceeded):
-        sieve_practicals(10**6, memory_budget=1000)
+        sieve_practicals(10**6)
+    limit = 5000  # the fill holds limit + 1 bytes of flags
+    monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", limit)
+    with pytest.raises(MemoryBudgetExceeded):
+        sieve_practicals(limit)
+    monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", limit + 1)
+    assert sieve_practicals(limit).count() == len([n for n in range(1, limit + 1) if is_practical(n).practical])
 
 
 def test_density_report_columns():
