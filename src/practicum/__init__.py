@@ -23,7 +23,7 @@ _EXPORTS = {
         "BoundViolated", "BudgetExceeded", "ClassificationMismatch", "FalsificationSignal",
         "InconsistentSystem", "InvalidInput", "InvalidJ", "InvalidResidue", "IterationCap",
         "MemoryBudgetExceeded", "NotFound", "OracleBoundExceeded", "PracticumError",
-        "ScanBudgetExceeded", "SearchExhausted",
+        "ScanBudgetExceeded",
     ),
     "practical": (
         "MultiplierCertificate", "PracticalityVerdict", "StewartWitness", "certify_product",
@@ -32,18 +32,17 @@ _EXPORTS = {
     ),
     "progressions": (
         "APClassification", "APWitness", "PolyWitness", "ap_constructive_witness",
-        "ap_practical_stream", "classify_ap", "largest_practical_divisor",
-        "nonpractical_witness",
+        "ap_practical_stream", "classify_ap", "nonpractical_witness",
     ),
     "quadratics": (
         "FiniteWitness", "InfiniteWitness", "MqResult", "QuadClassification", "QuadraticPoly",
-        "QuadWitness", "classify_quadratic", "least_infinite_prime", "mq",
-        "quad_constructive_witness", "quad_practical_stream",
+        "QuadWitness", "classify_quadratic", "mq", "quad_constructive_witness",
+        "quad_practical_stream",
     ),
     "representations": (
         "FamilySpec", "PalindromicEntry", "RepresentationTrace", "SquareDecomposition",
-        "decompose_square_plus_practical", "family_member", "family_spec", "family_stream",
-        "goldbach_pair", "palindromic_practicals", "power2_practical", "practical_triples",
+        "decompose_square_plus_practical", "family_spec", "family_stream", "goldbach_pair",
+        "palindromic_practicals", "power2_practical", "practical_triples",
         "sqrt_mod_power_of_two", "verify_not_representable",
     ),
     "sieve": ("PracticalBitmap", "count_practicals", "density_report", "sieve_practicals"),

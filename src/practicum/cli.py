@@ -30,6 +30,7 @@ from .errors import (
 )
 from .practical import (
     DEFAULT_ORACLE_BOUND,
+    DEFAULT_SCAN_BOUND,
     MultiplierCertificate,
     PracticalityVerdict,
     is_practical,
@@ -51,7 +52,7 @@ _GLOBAL_FLAGS = {
     "format": "json",
     "cache-dir": str(Path.home() / ".cache" / "practicum"),
     "oracle-bound": DEFAULT_ORACLE_BOUND,
-    "scan-bound": 10**5,
+    "scan-bound": DEFAULT_SCAN_BOUND,
     "factor-work": DEFAULT_WORK_LIMIT,
 }
 _FORMATS = ("json", "csv", "plain")
@@ -259,7 +260,7 @@ def _cmd_ap_witness(args) -> dict:
 def _cmd_poly_witness(args) -> dict:
     from .progressions import nonpractical_witness
 
-    w = nonpractical_witness(args.coeffs, args.bound)
+    w = nonpractical_witness(args.coeffs, args.scan_bound)
     return {"coefficients": args.coeffs, **_json(w)}
 
 
@@ -464,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = poly_sub.add_parser("witness", help="smallest n with P(n) >= 1 not practical")
     p.add_argument("coeffs", type=_coeff_list,
                    help="comma-separated coefficients, constant term first")
-    p.add_argument("--bound", type=int, default=10**4)
     p.set_defaults(func=_cmd_poly_witness)
 
     quad_parser = sub.add_parser("quad", help="quadratics a*n^2 + b*n + c")
@@ -551,10 +551,34 @@ def emit(payload: dict, fmt: str, out=None) -> None:
         raise PracticumError(f"unknown output format: {fmt}")
 
 
+def _reject_unknown_global_flags(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Exit 2 naming an unknown `--name` or `--name=value` before the
+    subcommand.  argparse would set it aside and then report its value as an
+    invalid subcommand.  A prefix of one known flag is argparse's to expand,
+    and a prefix of several its to call ambiguous."""
+    known = [f"--{name}" for name in (*_GLOBAL_FLAGS, "config", "help")]
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("--") or token == "--":
+            return  # the subcommand, or a short option argparse handles
+        name, eq, _ = token.partition("=")
+        matches = [flag for flag in known if flag.startswith(name)]
+        if not matches:
+            parser.error(f"unrecognized global flag: {name}")
+        if name in matches:
+            matches = [name]
+        if len(matches) > 1 or matches == ["--help"]:
+            return
+        if not eq:
+            next(tokens, None)  # the flag's value
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # integers with thousands of digits, in and out
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _reject_unknown_global_flags(parser, argv)
     args = parser.parse_args(argv)
     try:
         _resolve_globals(args)

@@ -25,11 +25,7 @@ class OracleBoundExceeded(PracticumError):
 
 
 class ScanBudgetExceeded(PracticumError):
-    """A stream could not collect enough terms within its scan range."""
-
-
-class SearchExhausted(PracticumError):
-    """A bounded search ended without a hit (the bound was too small)."""
+    """A bounded scan ended before it found what it looks for (the bound was too small)."""
 
 
 class IterationCap(PracticumError):

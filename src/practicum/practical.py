@@ -24,6 +24,9 @@ from .arith import Factorization, _prime_powers, factorize, sigma_prime_power
 from .errors import BoundViolated, InvalidInput, OracleBoundExceeded
 
 DEFAULT_ORACLE_BOUND = 10**6
+# Largest n scanned by the bounded scans (ap_practical_stream,
+# quad_practical_stream, nonpractical_witness) and the CLI's --scan-bound.
+DEFAULT_SCAN_BOUND = 10**5
 
 
 @dataclass(frozen=True)
@@ -230,37 +233,32 @@ class MultiplierCertificate:
 
 
 def certify_product(
-    base_evidence: Evidence, multiplier: int, use_sigma: bool | None = None
+    base_evidence: Evidence, multiplier: int, doubling: bool = False
 ) -> MultiplierCertificate:
     """Certificate that (base of the evidence) * multiplier is practical.
 
-    use_sigma=None picks the exact sigma(base)+1 bound when the evidence is
-    a verdict (whose chain records sigma), falling back to 2*base-1 for
-    certificate chains; pass use_sigma=False to force the
-    factorization-free bound.  Raises BoundViolated when the multiplier
-    exceeds the provable bound.
+    A verdict records sigma(base), so its certificate takes the exact bound
+    sigma(base) + 1; a certificate chain records no sigma and takes the
+    factorization-free bound 2*base - 1, which doubling=True forces for a
+    verdict too.  Raises BoundViolated when the multiplier exceeds the
+    bound.
     """
     if isinstance(base_evidence, MultiplierCertificate):
         if not base_evidence.verify():
             raise InvalidInput("base evidence certificate does not verify")
         base = base_evidence.value
-        have_sigma = False
+        doubling = True
     else:
         if not base_evidence.practical:
             raise InvalidInput(f"base {base_evidence.n} is not practical")
         base = base_evidence.n
-        have_sigma = True
-    if use_sigma is None:
-        use_sigma = have_sigma
-    if use_sigma and not have_sigma:
-        raise InvalidInput("sigma bound requested but evidence carries no sigma")
 
-    if use_sigma:
-        bound = base_evidence.sigma + 1
-        kind = "sigma"
-    else:
+    if doubling:
         bound = 2 * base - 1
         kind = "doubling"
+    else:
+        bound = base_evidence.sigma + 1
+        kind = "sigma"
     if not 1 <= multiplier <= bound:
         raise BoundViolated(
             f"multiplier {multiplier} exceeds provable bound {bound} for base {base}"

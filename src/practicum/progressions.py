@@ -17,13 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .arith import Factorization, factorize, sigma
-from .errors import (
-    ClassificationMismatch,
-    InvalidInput,
-    ScanBudgetExceeded,
-    SearchExhausted,
-)
+from .errors import ClassificationMismatch, InvalidInput, ScanBudgetExceeded
 from .practical import (
+    DEFAULT_SCAN_BOUND,
     Evidence,
     PracticalityVerdict,
     certify_product,
@@ -36,8 +32,7 @@ INFINITELY_MANY = "infinitely_many"
 EXACTLY_ONE = "exactly_one"
 NONE = "none"
 
-DEFAULT_SCAN_LIMIT = 10**6
-# Largest search bound of nonpractical_witness (InvalidInput above it): 10^5 values of
+# Largest scan bound of nonpractical_witness (InvalidInput above it): 10^5 values of
 # P(n) = 10^40 n, all practical, took 1.2 s; 10^6 took 16 s (2-vCPU Xeon).
 _POLY_BOUND_CAP = 10**5
 
@@ -76,19 +71,6 @@ class PolyWitness:
     verdict: PracticalityVerdict
 
 
-def largest_practical_divisor(g: int) -> int:
-    """Maximum practical divisor of g (1 divides everything, so always >= 1).
-
-    This is the practical prefix of g's verdict: taking full exponents and
-    every admissible prime maximizes both the divisor and the divisor-sum
-    bound for later primes, and once a prime fails the chain condition all
-    larger ones do too.
-    """
-    if g < 1:
-        raise InvalidInput(f"largest_practical_divisor requires g >= 1, got {g}")
-    return is_practical(g).prefix
-
-
 def classify_ap(a: int, b: int) -> APClassification:
     """Decide the trichotomy for a*n + b.
 
@@ -113,7 +95,7 @@ def classify_ap(a: int, b: int) -> APClassification:
 
 
 def ap_practical_stream(
-    a: int, b: int, count: int, n_limit: int = DEFAULT_SCAN_LIMIT
+    a: int, b: int, count: int, n_limit: int = DEFAULT_SCAN_BOUND
 ) -> list[int]:
     """First `count` practical values of a*n + b, scanning n = 0, 1, 2, ...
 
@@ -193,14 +175,16 @@ def _poly_eval(coeffs: list[int], n: int) -> int:
 
 
 def nonpractical_witness(
-    coeffs: list[int], search_bound: int = 10**4
+    coeffs: list[int], n_limit: int = DEFAULT_SCAN_BOUND
 ) -> PolyWitness:
-    """Smallest n >= 1 with P(n) >= 1 and P(n) not practical.
+    """Smallest n >= 1 with P(n) >= 1 and P(n) not practical, scanning
+    n = 1, ..., n_limit.
 
     coeffs are ascending (constant term first).  The polynomial must be
     non-constant with positive leading coefficient; a witness always
-    exists, so exhausting the bound raises SearchExhausted and means the
-    bound was too small.
+    exists, so a scan that ends without one raises ScanBudgetExceeded and
+    means n_limit was too small.  n_limit above _POLY_BOUND_CAP is refused
+    with InvalidInput.
     """
     trimmed = list(coeffs)
     while trimmed and trimmed[-1] == 0:
@@ -209,12 +193,12 @@ def nonpractical_witness(
         raise InvalidInput("polynomial must be non-constant")
     if trimmed[-1] < 0:
         raise InvalidInput("leading coefficient must be positive")
-    if search_bound > _POLY_BOUND_CAP:
-        raise InvalidInput(f"search bound {search_bound} exceeds {_POLY_BOUND_CAP} (_POLY_BOUND_CAP)")
-    for n in range(1, search_bound + 1):
+    if n_limit > _POLY_BOUND_CAP:
+        raise InvalidInput(f"scan bound {n_limit} exceeds {_POLY_BOUND_CAP} (_POLY_BOUND_CAP)")
+    for n in range(1, n_limit + 1):
         v = _poly_eval(trimmed, n)
         if v >= 1 and not is_practical_quick(v):
             return PolyWitness(n=n, value=v, verdict=is_practical(v))
-    raise SearchExhausted(
-        f"no non-practical value with n <= {search_bound}: raise --bound (search_bound)"
+    raise ScanBudgetExceeded(
+        f"no non-practical value with n <= {n_limit}: raise --scan-bound (n_limit)"
     )

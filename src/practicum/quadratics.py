@@ -34,6 +34,7 @@ from .errors import (
     ScanBudgetExceeded,
 )
 from .practical import (
+    DEFAULT_SCAN_BOUND,
     Evidence,
     PracticalityVerdict,
     certify_product,
@@ -44,8 +45,6 @@ from .practical import (
 
 INFINITELY_MANY = "infinitely_many"
 FINITELY_MANY = "finitely_many"
-
-DEFAULT_QUAD_SCAN = 10**4
 
 # Caps on the m_q walk and the witness construction.  Running out of primes
 # or rounds raises IterationCap, a failure rather than an outcome.  They are
@@ -145,13 +144,13 @@ class QuadClassification:
 @dataclass(frozen=True)
 class QuadWitness:
     """A practical value q(n) >= threshold with its supporting arithmetic;
-    verdict is the multiplier-lemma certificate modulus * multiplier."""
+    verdict is the multiplier-lemma certificate modulus * multiplier, and
+    its base_evidence is the structure-test verdict on modulus."""
 
     n: int
     value: int
     verdict: Evidence
     modulus: int                # practical divisor of value, built by CRT
-    modulus_verdict: PracticalityVerdict
     multiplier: int             # value // modulus, <= sigma(modulus) + 1
     k: int
     t_primes: tuple[int, ...]
@@ -241,12 +240,6 @@ def _mq_walk(q: QuadraticPoly) -> list[MqResult]:
     )
 
 
-def least_infinite_prime(q: QuadraticPoly) -> tuple[int, int, tuple[int, ...]]:
-    """(r, p_r, m_q at the earlier primes) for the least p_r with infinite m_q."""
-    walk = _mq_walk(q)
-    return len(walk), walk[-1].p, tuple(res.exponent for res in walk[:-1])
-
-
 def classify_quadratic(q: QuadraticPoly) -> QuadClassification:
     """Infinitely many practical values of q, or finitely many, decided by
     the practicality of p_1^m1 ... p_{r-1}^m{r-1} p_r."""
@@ -267,7 +260,7 @@ def classify_quadratic(q: QuadraticPoly) -> QuadClassification:
 
 
 def quad_practical_stream(
-    q: QuadraticPoly, count: int, n_limit: int = DEFAULT_QUAD_SCAN
+    q: QuadraticPoly, count: int, n_limit: int = DEFAULT_SCAN_BOUND
 ) -> list[int]:
     """The `count` smallest practical values among q(1), q(2), ...
 
@@ -467,7 +460,6 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
                 value=value,
                 verdict=certify_product(mod_verdict, multiplier),
                 modulus=divisor,
-                modulus_verdict=mod_verdict,
                 multiplier=multiplier,
                 k=k,
                 t_primes=tuple(t_list),

@@ -174,13 +174,6 @@ def family_spec(j: int) -> FamilySpec:
     )
 
 
-def family_member(j: int, index: int) -> int:
-    """index-th smallest member (0-based) of the j family."""
-    if not 0 <= index < _FAMILY_COUNT_CAP:
-        raise InvalidInput(f"index {index} is not in 0..{_FAMILY_COUNT_CAP - 1} (_FAMILY_COUNT_CAP)")
-    return family_stream(j, index + 1)[-1]
-
-
 def family_stream(j: int, count: int) -> list[int]:
     """The `count` smallest members of the j family, ascending."""
     if not 1 <= count <= _FAMILY_COUNT_CAP:
@@ -313,7 +306,7 @@ def palindromic_practicals(count: int) -> list[PalindromicEntry]:
     entries = [PalindromicEntry(index=1, value=88, evidence=evidence)]
     power = 100  # 10^(2^i), squared forward
     for i in range(1, count):
-        evidence = certify_product(evidence, power + 1, use_sigma=False)
+        evidence = certify_product(evidence, power + 1, doubling=True)
         value = evidence.value
         power *= power
         if 9 * value + 8 != 8 * power:

@@ -19,7 +19,6 @@ from practicum import (
     classify_quadratic,
     count_practicals,
     decompose_square_plus_practical,
-    family_member,
     family_stream,
     goldbach_pair,
     is_practical,
@@ -183,7 +182,7 @@ def test_criterion_6_families_not_representable():
         for m in members:
             report = verify_not_representable(m)
             assert report.not_representable, (j, m, report.counterexample)
-    assert family_member(2, 0) == 74
+    assert family_stream(2, 1) == [74]
     elapsed = time.perf_counter() - start
     print(f"\nACCEPTANCE 6: PASS - 7 families x 50 members exhaustively "
           f"non-representable; j=2 starts at 74, {elapsed:.1f}s")
@@ -200,7 +199,7 @@ def test_criterion_6_families_not_representable():
 )
 def test_criterion_6_uncorrected_family_start_11():
     assert verify_not_representable(11).not_representable
-    assert family_member(3, 0) == 11
+    assert family_stream(3, 1)[0] == 11
 
 
 def test_criterion_7_pairs_and_triples(bitmap_1e6):
@@ -279,7 +278,7 @@ def test_criterion_10_polynomial_witnesses():
         degree = rng.randrange(1, 5)
         coeffs = [rng.randrange(0, 21) for _ in range(degree)]
         coeffs.append(rng.randrange(1, 21))  # positive leading coefficient
-        w = nonpractical_witness(coeffs, search_bound=10**4)
+        w = nonpractical_witness(coeffs, n_limit=10**4)
         value = sum(c * w.n**i for i, c in enumerate(coeffs))
         assert value == w.value and value >= 1
         assert not w.verdict.practical and w.verdict.replay()

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import logging
@@ -407,8 +408,10 @@ def test_exit_codes(capsys, monkeypatch):
                  ("--scan-bound", "30", "quad", "stream", "1", "1", "2", "--count", "500")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "raise --scan-bound (n_limit)" in err, argv
-    code, _, err = run_cli(capsys, "poly", "witness", "0,6", "--bound", "4")
-    assert code == 2 and "raise --bound (search_bound)" in err
+    code, _, err = run_cli(capsys, "--scan-bound", "4", "poly", "witness", "0,6")
+    assert code == 2 and "raise --scan-bound (n_limit)" in err
+    code, _, err = run_cli(capsys, "--scan-bound", "100001", "poly", "witness", "2,1,1")
+    assert code == 2 and "_POLY_BOUND_CAP" in err
 
     # domain errors: exit 2
     code, _, err = run_cli(capsys, "decompose", "12")
@@ -419,6 +422,50 @@ def test_exit_codes(capsys, monkeypatch):
     # oracle bound: exit 2
     code, _, err = run_cli(capsys, "--oracle-bound", "100", "oracle", "101")
     assert code == 2 and "raise --oracle-bound (bound)" in err
+
+
+def test_unknown_global_flag_is_named(capsys):
+    # argparse alone would report the flag's value as an invalid subcommand
+    for argv, flag in ((["--trial-bound", "1", "test", "6"], "--trial-bound"),
+                       (["--trial-bound=1", "test", "6"], "--trial-bound"),
+                       (["--bound", "4", "poly", "witness", "0,6"], "--bound")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, argv
+        assert f"unrecognized global flag: {flag}" in err and "invalid choice" not in err, argv
+    # known flags, with a value after = or abbreviated, still parse
+    code, out, _ = run_cli(capsys, "--form", "csv", "--scan-bound=4", "test", "6")
+    assert (code, out) == (0, "n,practical,chain\n6,True,[[2,1,3],[3,1,12]]\n")
+
+
+def test_one_scan_bound_default():
+    from practicum import practical, progressions, quadratics
+
+    default = practical.DEFAULT_SCAN_BOUND
+    assert cli._GLOBAL_FLAGS["scan-bound"] == default
+    for scan in (progressions.ap_practical_stream, quadratics.quad_practical_stream,
+                 progressions.nonpractical_witness):
+        assert inspect.signature(scan).parameters["n_limit"].default == default, scan.__name__
+
+
+def _option_names(parser):
+    """The --options of every subparser below parser, without their dashes."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from (s[2:] for a in sub._actions for s in a.option_strings
+                            if s.startswith("--"))
+                yield from _option_names(sub)
+
+
+def test_every_raise_hint_names_a_live_option():
+    # a budget error names the knob that raises the budget
+    hints = {name for path in Path(cli.__file__).parent.glob("*.py")
+             for name in re.findall(r"raise --([a-z-]+)", path.read_text(encoding="utf-8"))}
+    assert {"scan-bound", "factor-work", "oracle-bound"} <= hints
+    live = set(cli._GLOBAL_FLAGS) | set(_option_names(build_parser()))
+    assert hints <= live, hints - live
 
 
 # 1000003 * 1000033: no factor within 10 units of factoring work
@@ -467,7 +514,7 @@ _EDGE_INTEGERS = (0, 1, -1, 2, 3, -7, 10**40)
 _TEMPLATES = (
     "test {} --verify", "oracle {}", "sieve --limit {}", "count {} --report {},{}",
     "ap classify {} {}", "ap stream {} {} --count {}", "ap witness {} {} --min {}",
-    "poly witness {},{},{} --bound {}", "quad mq {} {} {} {}", "quad classify {} {} {}",
+    "--scan-bound {} poly witness {},{},{}", "quad mq {} {} {} {}", "quad classify {} {} {}",
     "quad stream {} {} {} --count {}", "quad witness {} {} {} --min {}",
     "decompose {} --verify", "family {} --count {} --verify", "goldbach {} --verify",
     "triples --limit {}", "palindromic --count {}",

@@ -17,7 +17,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Every public name of `practicum`: those it had when it still imported its
 # modules eagerly (its bitmap API already lazy), and factor_budget, less
-# FactorBudget and DEFAULT_BUDGET (the factor budget is now one int).
+# FactorBudget and DEFAULT_BUDGET (the factor budget is now one int), less
+# four names that repeated a value another name gives: SearchExhausted
+# (ScanBudgetExceeded), largest_practical_divisor (is_practical(g).prefix),
+# least_infinite_prime (classify_quadratic's r, p_r and exponents) and
+# family_member (family_stream(j, i + 1)[-1]).
 EXPORTS = (
     "APClassification", "APWitness", "BoundViolated", "BudgetExceeded",
     "ClassificationMismatch", "Factorization", "FalsificationSignal", "FamilySpec",
@@ -26,14 +30,14 @@ EXPORTS = (
     "MemoryBudgetExceeded", "MqResult", "MultiplierCertificate", "NotFound",
     "OracleBoundExceeded", "PalindromicEntry", "PolyWitness", "PracticalBitmap",
     "PracticalityVerdict", "PracticumError", "QuadClassification", "QuadWitness",
-    "QuadraticPoly", "RepresentationTrace", "ScanBudgetExceeded", "SearchExhausted",
+    "QuadraticPoly", "RepresentationTrace", "ScanBudgetExceeded",
     "SquareDecomposition", "StewartWitness", "ap_constructive_witness",
     "ap_practical_stream", "arith", "certify_product", "classify_ap",
     "classify_quadratic", "count_practicals", "crt_solve",
     "decompose_square_plus_practical", "density_report", "errors", "factor_budget",
-    "factorize", "family_member", "family_spec", "family_stream", "goldbach_pair",
+    "factorize", "family_spec", "family_stream", "goldbach_pair",
     "is_practical", "is_practical_oracle", "is_practical_quick",
-    "largest_practical_divisor", "least_infinite_prime", "mq", "nonpractical_witness",
+    "mq", "nonpractical_witness",
     "palindromic_practicals", "power2_practical", "practical",
     "practical_from_factorization", "practical_triples", "prime_stream", "primes_upto",
     "progressions", "quad_constructive_witness", "quad_practical_stream", "quadratics",

@@ -154,6 +154,19 @@ def test_replay_rejects_forged_negative_verdicts():
         assert not v.replay(), v
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: replay() does not check that n / prefix has no prime "
+    "factor <= sigma(prefix) + 1, so a chain that skips the 3 of 30 replays",
+)
+def test_replay_rejects_a_negative_verdict_that_skips_a_small_prime():
+    from practicum.practical import PracticalityVerdict
+
+    assert is_practical(30).practical
+    forged = PracticalityVerdict(30, False, chain=((2, 1, 3),), witness=StewartWitness(2, 5, 4))
+    assert not forged.replay()
+
+
 def test_replay_rejects_non_coprime_chain():
     from practicum.practical import PracticalityVerdict
 
@@ -194,7 +207,7 @@ def test_sigma_lower_bound_for_practical():
 
 
 def test_certify_product_examples():
-    cert = certify_product(is_practical(88), 101, use_sigma=False)
+    cert = certify_product(is_practical(88), 101, doubling=True)
     assert cert.value == 8888
     assert cert.bound == 175
     assert cert.verify()
@@ -215,8 +228,8 @@ def test_certify_product_rejects_non_practical_base():
 
 
 def test_certificate_chains_and_tampering():
-    c1 = certify_product(is_practical(88), 101, use_sigma=False)
-    c2 = certify_product(c1, 10001, use_sigma=False)
+    c1 = certify_product(is_practical(88), 101, doubling=True)
+    c2 = certify_product(c1, 10001, doubling=True)
     assert c2.value == 88888888
     assert c2.verify()
     at_bound = MultiplierCertificate(

@@ -10,7 +10,6 @@ from practicum import (
     ClassificationMismatch,
     InvalidInput,
     ScanBudgetExceeded,
-    SearchExhausted,
     ap_constructive_witness,
     ap_practical_stream,
     classify_ap,
@@ -18,7 +17,6 @@ from practicum import (
     factorize,
     is_practical,
     is_practical_quick,
-    largest_practical_divisor,
     nonpractical_witness,
     progressions,
 )
@@ -36,23 +34,24 @@ def _divisors(n):
 
 
 def test_largest_practical_divisor_examples():
-    assert largest_practical_divisor(12) == 12
-    assert largest_practical_divisor(3) == 1
-    assert largest_practical_divisor(20) == 20
-    assert largest_practical_divisor(1) == 1
+    # the verdict's prefix is the largest practical divisor (classify_ap's d)
+    assert is_practical(12).prefix == 12
+    assert is_practical(3).prefix == 1
+    assert is_practical(20).prefix == 20
+    assert is_practical(1).prefix == 1
     with pytest.raises(InvalidInput):
-        largest_practical_divisor(0)
+        is_practical(0)
 
 
 def test_largest_practical_divisor_exhaustive():
     # greedy result == max over all divisors, checked divisor-exhaustively
     for g in range(1, 10**4 + 1):
         best = max(d for d in _divisors(g) if is_practical_quick(d))
-        assert largest_practical_divisor(g) == best, g
+        assert is_practical(g).prefix == best, g
     rng = random.Random(7)
     for g in rng.sample(range(10**4 + 1, 10**5 + 1), 2000):
         best = max(d for d in _divisors(g) if is_practical_quick(d))
-        assert largest_practical_divisor(g) == best, g
+        assert is_practical(g).prefix == best, g
 
 
 def test_classify_examples():
@@ -191,14 +190,14 @@ def test_nonpractical_witness_is_smallest():
 
 
 def test_nonpractical_witness_errors():
-    with pytest.raises(SearchExhausted):
-        nonpractical_witness([0, 2], search_bound=4)  # 2, 4, 6, 8 all practical
+    with pytest.raises(ScanBudgetExceeded, match=r"raise --scan-bound \(n_limit\)"):
+        nonpractical_witness([0, 2], n_limit=4)  # 2, 4, 6, 8 all practical
     # 10^40 n is practical for every n below ~10^40: the bound is the only limit
     cap = progressions._POLY_BOUND_CAP
-    with pytest.raises(SearchExhausted):
-        nonpractical_witness([0, 10**40], search_bound=1000)
-    with pytest.raises(InvalidInput, match=f"search bound {cap + 1} exceeds {cap} "):
-        nonpractical_witness([0, 10**40], search_bound=cap + 1)
+    with pytest.raises(ScanBudgetExceeded):
+        nonpractical_witness([0, 10**40], n_limit=1000)
+    with pytest.raises(InvalidInput, match=f"scan bound {cap + 1} exceeds {cap} "):
+        nonpractical_witness([0, 10**40], n_limit=cap + 1)
     with pytest.raises(InvalidInput):
         nonpractical_witness([5])
     with pytest.raises(InvalidInput):

@@ -15,7 +15,6 @@ from practicum import (
     classify_quadratic,
     is_practical,
     is_practical_quick,
-    least_infinite_prime,
     mq,
     quad_constructive_witness,
     quad_practical_stream,
@@ -245,6 +244,10 @@ def test_mq_content_decomposition_against_oracle():
 
 
 def test_least_infinite_prime_examples(monkeypatch):
+    def least_infinite_prime(q):
+        cls = classify_quadratic(q)
+        return cls.r, cls.p_r, cls.exponents
+
     assert least_infinite_prime(QuadraticPoly(1, 1, 2)) == (1, 2, ())
     assert least_infinite_prime(QuadraticPoly(1, 0, 1)) == (3, 5, (1, 0))
     assert least_infinite_prime(QuadraticPoly(1, 0, 3)) == (4, 7, (2, 1, 0))
@@ -298,8 +301,8 @@ def test_constructive_witness_contract():
     assert w.value >= 10 and w.value == q(w.n)
     assert w.verdict.verify() and w.verdict.value == w.value
     assert w.value % w.modulus == 0
-    assert w.modulus_verdict.practical
-    assert w.multiplier <= w.modulus_verdict.sigma + 1
+    assert w.verdict.base_evidence.n == w.modulus and w.verdict.base_evidence.practical
+    assert w.multiplier <= w.verdict.base_evidence.sigma + 1
 
     w = quad_constructive_witness(q, 1)
     assert w.value >= 1 and w.verdict.practical
@@ -332,7 +335,7 @@ def test_constructive_witness_single_root_class():
     w = quad_constructive_witness(q, 99991)
     assert w.value >= 99991 and w.value == q(w.n)
     assert w.verdict.verify() and w.verdict.value == w.value
-    assert w.multiplier <= w.modulus_verdict.sigma + 1
+    assert w.multiplier <= w.verdict.base_evidence.sigma + 1
 
 
 def test_constructive_witness_random_polys():
@@ -349,7 +352,7 @@ def test_constructive_witness_random_polys():
         assert w.value >= threshold and w.value == q(w.n) and w.n >= 1
         assert w.verdict.verify() and w.verdict.value == w.value
         assert w.value % w.modulus == 0
-        assert w.multiplier <= w.modulus_verdict.sigma + 1
+        assert w.multiplier <= w.verdict.base_evidence.sigma + 1
         done += 1
 
 

@@ -12,7 +12,6 @@ from practicum import (
     InvalidJ,
     InvalidResidue,
     decompose_square_plus_practical,
-    family_member,
     family_spec,
     family_stream,
     goldbach_pair,
@@ -130,12 +129,12 @@ def test_family_specs_match_crt_oracle():
 
 
 def test_family_members():
-    assert family_member(5, 0) == 797
-    assert family_member(2, 0) == 74  # 2, 26, 50 dropped: m-1 is 1, 25, 49
+    assert family_stream(5, 1) == [797]
+    assert family_stream(2, 1) == [74]  # 2, 26, 50 dropped: m-1 is 1, 25, 49
     assert family_stream(2, 3) == [74, 98, 194]  # 122 (m-1=121), 146 (m-2=144) dropped
     assert family_stream(6, 3) == [14, 62, 86]  # 38 dropped: 38 = 6^2 + 2
-    assert family_member(3, 0) == 35  # 11 dropped: 11 = 3^2 + 2
-    assert family_member(7, 0) == 23
+    assert family_stream(3, 1) == [35]  # 11 dropped: 11 = 3^2 + 2
+    assert family_stream(7, 1) == [23]
     assert all(m % 8 == j for j in (0, 2, 3, 4, 5, 6, 7) for m in family_stream(j, 8))
 
 
@@ -143,7 +142,7 @@ def test_family_invalid_j():
     with pytest.raises(InvalidJ):
         family_spec(1)
     with pytest.raises(InvalidJ):
-        family_member(8, 0)
+        family_stream(8, 1)
     with pytest.raises(InvalidInput):
         family_stream(0, 0)
 
@@ -154,10 +153,6 @@ def test_counts_are_capped_where_they_enter(capsys):
     assert family_stream(2, family_cap)[-1] % 8 == 2
     with pytest.raises(InvalidInput, match="_FAMILY_COUNT_CAP"):
         family_stream(3, family_cap + 1)
-    assert family_member(3, family_cap - 1) == family_stream(3, family_cap)[-1]
-    for index in (-1, family_cap):
-        with pytest.raises(InvalidInput, match=rf"index {index} is not in 0\.\.{family_cap - 1}"):
-            family_member(3, index)
     with pytest.raises(InvalidInput, match="_PALINDROMIC_COUNT_CAP"):
         palindromic_practicals(chain_cap + 1)
     assert chain_cap >= 19  # the certify workload of bench/run.py asks for 19
