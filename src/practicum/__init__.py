@@ -19,12 +19,7 @@ _EXPORTS = {
         "Factorization", "crt_solve", "factor_budget", "factorize", "prime_stream",
         "primes_upto", "sigma", "sigma_prime_power", "valuation",
     ),
-    "errors": (
-        "BoundViolated", "BudgetExceeded", "ClassificationMismatch", "FalsificationSignal",
-        "InconsistentSystem", "InvalidInput", "InvalidJ", "InvalidResidue", "IterationCap",
-        "MemoryBudgetExceeded", "NotFound", "OracleBoundExceeded", "PracticumError",
-        "ScanBudgetExceeded",
-    ),
+    "errors": ("BudgetExceeded", "FalsificationSignal", "InvalidInput", "PracticumError"),
     "practical": (
         "MultiplierCertificate", "PracticalityVerdict", "StewartWitness", "certify_product",
         "is_practical", "is_practical_oracle", "is_practical_quick",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
-from .errors import BudgetExceeded, InconsistentSystem, InvalidInput
+from .errors import BudgetExceeded, InvalidInput
 
 if TYPE_CHECKING:
     import numpy as np
@@ -362,7 +362,7 @@ def crt_solve(system: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """Solve simultaneous congruences x = r_i (mod m_i).
 
     Moduli need not be coprime; the system is merged pairwise and rejected
-    with InconsistentSystem when residues disagree on a shared divisor.
+    with InvalidInput when residues disagree on a shared divisor.
     Returns (residue, modulus) with 0 <= residue < modulus = lcm(m_i).
 
     >>> crt_solve([(5, 8), (2, 3), (2, 5), (6, 7)])
@@ -376,7 +376,7 @@ def crt_solve(system: Iterable[tuple[int, int]]) -> tuple[int, int]:
             raise InvalidInput(f"residue {ri} out of range for modulus {mi}")
         g = math.gcd(m, mi)
         if (ri - r) % g:
-            raise InconsistentSystem(
+            raise InvalidInput(
                 f"congruences conflict modulo {g}: x={r} (mod {m}) vs x={ri} (mod {mi})"
             )
         lcm = m // g * mi

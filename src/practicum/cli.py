@@ -22,12 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .arith import DEFAULT_WORK_LIMIT, factor_budget
-from .errors import (
-    ClassificationMismatch,
-    FalsificationSignal,
-    InvalidInput,
-    PracticumError,
-)
+from .errors import FalsificationSignal, InvalidInput, PracticumError
 from .practical import (
     DEFAULT_ORACLE_BOUND,
     DEFAULT_SCAN_BOUND,
@@ -195,7 +190,7 @@ def _cmd_test(args) -> dict:
     out = _json(verdict)
     if args.verify:
         if is_practical_oracle(args.n, args.oracle_bound) != verdict.practical:
-            raise ClassificationMismatch(
+            raise FalsificationSignal(
                 f"structure test and subset-sum oracle disagree on {args.n}"
             )
         out["verified"] = True
@@ -330,7 +325,7 @@ def _cmd_decompose(args) -> dict:
             and _oracle_confirms(args, d.practical_part)
         )
         if not ok:
-            raise ClassificationMismatch(f"decomposition of {args.n} failed re-check")
+            raise FalsificationSignal(f"decomposition of {args.n} failed re-check")
         out["verified"] = True
     return out
 
@@ -347,7 +342,7 @@ def _cmd_family(args) -> dict:
             report = verify_not_representable(m)
             if not report.not_representable:
                 x, part = report.counterexample
-                raise ClassificationMismatch(
+                raise FalsificationSignal(
                     f"family member {m} = {x}^2 + {part} with {part} practical"
                 )
         out["verified"] = True
@@ -365,7 +360,7 @@ def _cmd_goldbach(args) -> dict:
     if args.verify:
         ok = p1 + p2 == args.n and _oracle_confirms(args, p1) and _oracle_confirms(args, p2)
         if not ok:
-            raise ClassificationMismatch(f"pair for {args.n} failed oracle re-check")
+            raise FalsificationSignal(f"pair for {args.n} failed oracle re-check")
         out["verified"] = True
     return out
 
@@ -552,15 +547,15 @@ def emit(payload: dict, fmt: str, out=None) -> None:
 
 
 def _reject_unknown_global_flags(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Exit 2 naming an unknown `--name` or `--name=value` before the
-    subcommand.  argparse would set it aside and then report its value as an
-    invalid subcommand.  A prefix of one known flag is argparse's to expand,
-    and a prefix of several its to call ambiguous."""
+    """Exit 2 naming an unknown option (`-x`, `--name` or `--name=value`)
+    before the subcommand.  argparse would set it aside and then report its
+    value as an invalid subcommand.  A prefix of one known flag is argparse's
+    to expand, and a prefix of several its to call ambiguous."""
     known = [f"--{name}" for name in (*_GLOBAL_FLAGS, "config", "help")]
     tokens = iter(argv)
     for token in tokens:
-        if not token.startswith("--") or token == "--":
-            return  # the subcommand, or a short option argparse handles
+        if not token.startswith("-") or token in ("-", "--", "-h"):
+            return  # the subcommand, or an argument argparse handles
         name, eq, _ = token.partition("=")
         matches = [flag for flag in known if flag.startswith(name)]
         if not matches:

@@ -1,10 +1,13 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class for each thing a caller can do next.
 
-Two families matter to callers: budget/usage errors (the computation was
-refused or ran out of its configured work allowance) and falsification
-signals (the computation finished and produced something that contradicts a
-theorem it implements -- these should never fire and are treated as fatal
-by the CLI, exit code 1).
+- InvalidInput: the arguments are outside an operation's domain (a bad
+  residue or j, conflicting congruences, a multiplier past its provable
+  bound); fix the arguments.  It is also a ValueError.
+- BudgetExceeded: a work, memory, oracle, scan or iteration limit ran out
+  before the answer; raise the budget that the message names.
+- FalsificationSignal: the computation finished and produced something
+  that contradicts a theorem it implements; report a bug.  The CLI exits 1
+  on it and 2 on the other two.
 """
 
 
@@ -12,53 +15,14 @@ class PracticumError(Exception):
     """Base class for all library errors."""
 
 
-class BudgetExceeded(PracticumError):
-    """Factorization work limit exhausted before a full factorization."""
-
-
-class MemoryBudgetExceeded(PracticumError):
-    """A sieve or table would exceed the configured memory budget."""
-
-
-class OracleBoundExceeded(PracticumError):
-    """Subset-sum oracle asked about an n above its configured bound."""
-
-
-class ScanBudgetExceeded(PracticumError):
-    """A bounded scan ended before it found what it looks for (the bound was too small)."""
-
-
-class IterationCap(PracticumError):
-    """An iteration limit was hit (prime enumeration, witness escalation)."""
-
-
 class InvalidInput(PracticumError, ValueError):
     """Arguments outside an operation's documented domain."""
 
 
-class InvalidResidue(InvalidInput):
-    """Input not in the required residue class."""
-
-
-class InvalidJ(InvalidInput):
-    """No non-representable family exists for this residue class mod 8."""
-
-
-class InconsistentSystem(PracticumError, ValueError):
-    """Simultaneous congruences conflict on a shared modulus divisor."""
-
-
-class BoundViolated(PracticumError, ValueError):
-    """Multiplier exceeds the provable bound of a product certificate."""
+class BudgetExceeded(PracticumError):
+    """A configured limit ran out before the answer; the message names the
+    flag or constant that raises it."""
 
 
 class FalsificationSignal(PracticumError):
     """A verified-impossible outcome occurred; indicates an implementation bug."""
-
-
-class ClassificationMismatch(FalsificationSignal):
-    """A constructive witness failed the practicality test its classification guarantees."""
-
-
-class NotFound(FalsificationSignal):
-    """No decomposition found where one is guaranteed to exist (e.g. practical pair for an even number)."""

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterator, Union
 
 from .arith import Factorization, _prime_powers, factorize, sigma_prime_power
-from .errors import BoundViolated, InvalidInput, OracleBoundExceeded
+from .errors import BudgetExceeded, InvalidInput
 
 DEFAULT_ORACLE_BOUND = 10**6
 # Largest n scanned by the bounded scans (ap_practical_stream,
@@ -156,7 +156,7 @@ def is_practical_oracle(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     if n < 1:
         raise InvalidInput(f"oracle is defined for n >= 1, got {n}")
     if n > bound:
-        raise OracleBoundExceeded(
+        raise BudgetExceeded(
             f"oracle bound {bound} exceeded by n = {n}: raise --oracle-bound (bound)"
         )
     divisors = []
@@ -240,7 +240,7 @@ def certify_product(
     A verdict records sigma(base), so its certificate takes the exact bound
     sigma(base) + 1; a certificate chain records no sigma and takes the
     factorization-free bound 2*base - 1, which doubling=True forces for a
-    verdict too.  Raises BoundViolated when the multiplier exceeds the
+    verdict too.  Raises InvalidInput when the multiplier exceeds the
     bound.
     """
     if isinstance(base_evidence, MultiplierCertificate):
@@ -260,7 +260,7 @@ def certify_product(
         bound = base_evidence.sigma + 1
         kind = "sigma"
     if not 1 <= multiplier <= bound:
-        raise BoundViolated(
+        raise InvalidInput(
             f"multiplier {multiplier} exceeds provable bound {bound} for base {base}"
         )
     return MultiplierCertificate(

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import Factorization, factorize, sigma
-from .errors import ClassificationMismatch, InvalidInput, ScanBudgetExceeded
+from .errors import BudgetExceeded, FalsificationSignal, InvalidInput
 from .practical import (
     DEFAULT_SCAN_BOUND,
     Evidence,
@@ -101,7 +101,7 @@ def ap_practical_stream(
 
     For the exactly-one / none cases the (at most one) practical term is
     returned without error.  In the infinite case a shortfall within
-    n_limit raises ScanBudgetExceeded -- that would contradict the
+    n_limit raises BudgetExceeded -- that would contradict the
     classification, so tests treat it as failure.
     """
     if count < 1:
@@ -118,7 +118,7 @@ def ap_practical_stream(
             found.append(v)
             if len(found) == count:
                 return found
-    raise ScanBudgetExceeded(
+    raise BudgetExceeded(
         f"only {len(found)} practical terms of {a}n+{b} within n <= {n_limit}: "
         "raise --scan-bound (n_limit)"
     )
@@ -159,7 +159,7 @@ def ap_constructive_witness(a: int, b: int, threshold: int) -> APWitness:
     verdict = practical_from_factorization(divisor)
     multiplier, rem = divmod(value, verdict.n)
     if rem or not verdict.practical or multiplier > verdict.sigma + 1:
-        raise ClassificationMismatch(
+        raise FalsificationSignal(
             f"constructed term {value} of {a}n+{b} is not certified by {verdict.n}"
         )
     return APWitness(
@@ -182,7 +182,7 @@ def nonpractical_witness(
 
     coeffs are ascending (constant term first).  The polynomial must be
     non-constant with positive leading coefficient; a witness always
-    exists, so a scan that ends without one raises ScanBudgetExceeded and
+    exists, so a scan that ends without one raises BudgetExceeded and
     means n_limit was too small.  n_limit above _POLY_BOUND_CAP is refused
     with InvalidInput.
     """
@@ -199,6 +199,6 @@ def nonpractical_witness(
         v = _poly_eval(trimmed, n)
         if v >= 1 and not is_practical_quick(v):
             return PolyWitness(n=n, value=v, verdict=is_practical(v))
-    raise ScanBudgetExceeded(
+    raise BudgetExceeded(
         f"no non-practical value with n <= {n_limit}: raise --scan-bound (n_limit)"
     )

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 
 from .arith import Factorization, _is_prime, _jacobi, crt_solve, prime_stream, valuation
-from .errors import (
-    ClassificationMismatch,
-    FalsificationSignal,
-    InvalidInput,
-    IterationCap,
-    ScanBudgetExceeded,
-)
+from .errors import BudgetExceeded, FalsificationSignal, InvalidInput
 from .practical import (
     DEFAULT_SCAN_BOUND,
     Evidence,
@@ -47,7 +41,7 @@ INFINITELY_MANY = "infinitely_many"
 FINITELY_MANY = "finitely_many"
 
 # Caps on the m_q walk and the witness construction.  Running out of primes
-# or rounds raises IterationCap, a failure rather than an outcome.  They are
+# or rounds raises BudgetExceeded, a failure rather than an outcome.  They are
 # read at call time, so a test can lower one.
 _PRIME_CAP = 100         # primes walked looking for an infinite m_q
 _ROOT_CAP = 8            # smallest roots kept per prime power dividing D
@@ -229,14 +223,14 @@ def mq(q: QuadraticPoly, p: int) -> MqResult:
 def _mq_walk(q: QuadraticPoly) -> list[MqResult]:
     """m_q at 2, 3, 5, ... up to and including the least prime with infinite
     m_q.  Some prime always qualifies; running past _PRIME_CAP primes raises
-    IterationCap and should be treated as a failure, not an outcome."""
+    BudgetExceeded and should be treated as a failure, not an outcome."""
     walk = []
     for p in islice(prime_stream(), _PRIME_CAP):
         walk.append(mq(q, p))
         if walk[-1].infinite:
             return walk
-    raise IterationCap(
-        f"no prime with infinite m_q among the first {_PRIME_CAP} primes for {q}"
+    raise BudgetExceeded(
+        f"no prime with infinite m_q among the first {_PRIME_CAP} primes (_PRIME_CAP) for {q}"
     )
 
 
@@ -267,7 +261,7 @@ def quad_practical_stream(
     Scans until the values are provably the smallest (past the vertex and
     beyond the current count-th hit).  A shortfall within n_limit returns
     the hits found when the classification is finite, and raises
-    ScanBudgetExceeded when it is infinite.
+    BudgetExceeded when it is infinite.
     """
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
@@ -283,7 +277,7 @@ def quad_practical_stream(
             break
     values = sorted(hits)[:count]
     if len(values) < count and classify_quadratic(q).case == INFINITELY_MANY:
-        raise ScanBudgetExceeded(
+        raise BudgetExceeded(
             f"only {len(values)} practical values of {q} within n <= {n_limit}: "
             "raise --scan-bound (n_limit)"
         )
@@ -434,7 +428,7 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
                 break
             options.append([(r, p**e) for r in roots])
         if not solvable:
-            raise ClassificationMismatch(
+            raise FalsificationSignal(
                 f"missing root for a divisor of {q} despite its m_q value"
             )
         best: tuple[int, int, int] | None = None
@@ -472,6 +466,7 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
                 k += 1
             else:
                 t_list.append(nxt)
-    raise IterationCap(
+    raise BudgetExceeded(
         f"witness construction for {q} did not converge in {_WITNESS_ROUNDS} rounds"
+        " (_WITNESS_ROUNDS)"
     )

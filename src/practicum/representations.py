@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .arith import Factorization, crt_solve
-from .errors import (
-    FalsificationSignal,
-    InvalidInput,
-    InvalidJ,
-    InvalidResidue,
-    NotFound,
-)
+from .errors import FalsificationSignal, InvalidInput
 from .practical import (
     MultiplierCertificate,
     PracticalityVerdict,
@@ -128,7 +122,7 @@ def sqrt_mod_power_of_two(m: int, k: int) -> int:
     proof builds.
     """
     if m % 8 != 1:
-        raise InvalidResidue(f"m must be 1 mod 8, got {m}")
+        raise InvalidInput(f"m must be 1 mod 8, got {m}")
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     mod = 1 << (k + 3)
@@ -161,8 +155,8 @@ def family_spec(j: int) -> FamilySpec:
     """The non-representable congruence family for residue class j mod 8."""
     if j not in _FAMILY_CONGRUENCES:
         if j == 1:
-            raise InvalidJ("every number 1 mod 8 is a square plus a practical number")
-        raise InvalidJ(f"j must be in {NON_REPRESENTABLE_J}, got {j}")
+            raise InvalidInput("every number 1 mod 8 is a square plus a practical number")
+        raise InvalidInput(f"j must be in {NON_REPRESENTABLE_J}, got {j}")
     congruences = _FAMILY_CONGRUENCES[j]
     residue, modulus = crt_solve(congruences)
     return FamilySpec(
@@ -233,7 +227,7 @@ def goldbach_pair(
     """Lexicographically smallest (p1, p2), p1 <= p2, both practical,
     p1 + p2 = n, for even n >= 2.
 
-    Exhausting all practical p1 <= n/2 raises NotFound, which would
+    Exhausting all practical p1 <= n/2 raises FalsificationSignal, which would
     falsify the two-practicals decomposition theorem.
     """
     if n < 2 or n % 2:
@@ -247,7 +241,7 @@ def goldbach_pair(
         p2 = n - p1
         if bits[p1 >> 3] >> (p1 & 7) & 1 and bits[p2 >> 3] >> (p2 & 7) & 1:
             return p1, p2
-    raise NotFound(f"no practical pair sums to {n}")
+    raise FalsificationSignal(f"no practical pair sums to {n}")
 
 
 def practical_triples(

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .arith import primes_upto
-from .errors import InvalidInput, MemoryBudgetExceeded
+from .errors import BudgetExceeded, InvalidInput
 
 if TYPE_CHECKING:
     import numpy as np
@@ -129,8 +129,8 @@ class PracticalBitmap:
 def _initial_prime_bound(limit: int) -> int:
     """Size of the prime tables.  A node m needs primes up to
     min(sigma(m) + 1, limit // m) <= sqrt(limit * (sigma(m)/m + 1)), and
-    sigma(m)/m < 7 for m < 1.9 * 10^24 (OEIS A023199); the walk extends a
-    shorter table."""
+    sigma(m)/m < 7 for m < 1.97 * 10^24 (OEIS A023199), so the table holds
+    every prime a walk below 2^59 reaches."""
     return math.isqrt(8 * limit) + 2
 
 
@@ -250,8 +250,6 @@ def _tree_blocks(limit: int):
     stack: list = []
     while True:
         hi = np.minimum(s + 1, top)
-        if hi.max() >= len(pi):
-            primes, pi = _prime_tables(2 * int(hi.max()))
         mid = np.maximum(pi[np.minimum(_isqrt(top), hi)], last + 1)  # q * q <= top
         end = np.maximum(pi[hi], mid)
         yield n, primes, pi, mid, end
@@ -267,7 +265,7 @@ def _tree_blocks(limit: int):
 def _check_memory(what: str, need: int) -> None:
     """Raise when need bytes exceed DEFAULT_MEMORY_BUDGET, read at call time."""
     if need > DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetExceeded(
+        raise BudgetExceeded(
             f"{what} needs {need} bytes, over sieve.DEFAULT_MEMORY_BUDGET = {DEFAULT_MEMORY_BUDGET}"
             f" (the largest sieve --limit it fits is {DEFAULT_MEMORY_BUDGET - 1})"
         )

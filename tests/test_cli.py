@@ -428,7 +428,8 @@ def test_unknown_global_flag_is_named(capsys):
     # argparse alone would report the flag's value as an invalid subcommand
     for argv, flag in ((["--trial-bound", "1", "test", "6"], "--trial-bound"),
                        (["--trial-bound=1", "test", "6"], "--trial-bound"),
-                       (["--bound", "4", "poly", "witness", "0,6"], "--bound")):
+                       (["--bound", "4", "poly", "witness", "0,6"], "--bound"),
+                       (["-x", "1", "test", "6"], "-x")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         err = capsys.readouterr().err
@@ -437,6 +438,14 @@ def test_unknown_global_flag_is_named(capsys):
     # known flags, with a value after = or abbreviated, still parse
     code, out, _ = run_cli(capsys, "--form", "csv", "--scan-bound=4", "test", "6")
     assert (code, out) == (0, "n,practical,chain\n6,True,[[2,1,3],[3,1,12]]\n")
+    # -h and a prefix of several flags are argparse's to answer
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0 and "usage: practicum" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["--c", "x", "test", "6"])
+    assert exc.value.code == 2
+    assert "ambiguous option: --c could match --cache-dir, --config" in capsys.readouterr().err
 
 
 def test_one_scan_bound_default():

@@ -19,18 +19,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # modules eagerly (its bitmap API already lazy), and factor_budget, less
 # FactorBudget and DEFAULT_BUDGET (the factor budget is now one int), less
 # four names that repeated a value another name gives: SearchExhausted
-# (ScanBudgetExceeded), largest_practical_divisor (is_practical(g).prefix),
+# (BudgetExceeded), largest_practical_divisor (is_practical(g).prefix),
 # least_infinite_prime (classify_quadratic's r, p_r and exponents) and
-# family_member (family_stream(j, i + 1)[-1]).
+# family_member (family_stream(j, i + 1)[-1]), less ten error classes that
+# named a cause where a caller acts only on the remedy: the memory, oracle,
+# scan and iteration limits raise BudgetExceeded (MemoryBudgetExceeded,
+# OracleBoundExceeded, ScanBudgetExceeded, IterationCap), bad arguments
+# InvalidInput (InvalidResidue, InvalidJ, InconsistentSystem, BoundViolated)
+# and failed re-checks FalsificationSignal (ClassificationMismatch, NotFound).
 EXPORTS = (
-    "APClassification", "APWitness", "BoundViolated", "BudgetExceeded",
-    "ClassificationMismatch", "Factorization", "FalsificationSignal", "FamilySpec",
-    "FiniteWitness", "InconsistentSystem",
-    "InfiniteWitness", "InvalidInput", "InvalidJ", "InvalidResidue", "IterationCap",
-    "MemoryBudgetExceeded", "MqResult", "MultiplierCertificate", "NotFound",
-    "OracleBoundExceeded", "PalindromicEntry", "PolyWitness", "PracticalBitmap",
-    "PracticalityVerdict", "PracticumError", "QuadClassification", "QuadWitness",
-    "QuadraticPoly", "RepresentationTrace", "ScanBudgetExceeded",
+    "APClassification", "APWitness", "BudgetExceeded", "Factorization",
+    "FalsificationSignal", "FamilySpec", "FiniteWitness", "InfiniteWitness",
+    "InvalidInput", "MqResult", "MultiplierCertificate", "PalindromicEntry",
+    "PolyWitness", "PracticalBitmap", "PracticalityVerdict", "PracticumError",
+    "QuadClassification", "QuadWitness", "QuadraticPoly", "RepresentationTrace",
     "SquareDecomposition", "StewartWitness", "ap_constructive_witness",
     "ap_practical_stream", "arith", "certify_product", "classify_ap",
     "classify_quadratic", "count_practicals", "crt_solve",

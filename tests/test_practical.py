@@ -3,10 +3,8 @@ import random
 import pytest
 
 from practicum import (
-    BoundViolated,
     BudgetExceeded,
     InvalidInput,
-    OracleBoundExceeded,
     certify_product,
     factor_budget,
     factorize,
@@ -35,13 +33,15 @@ def test_verdict_examples():
     assert v.witness.prime == 3 and v.witness.bound == 2
     with pytest.raises(InvalidInput):
         is_practical(0)
+    with pytest.raises(InvalidInput, match="defined for n >= 1, got 0"):
+        is_practical_quick(0)
 
 
 def test_oracle_examples():
     assert is_practical_oracle(6)
     assert not is_practical_oracle(10)
     assert is_practical_oracle(1)
-    with pytest.raises(OracleBoundExceeded):
+    with pytest.raises(BudgetExceeded, match="raise --oracle-bound"):
         is_practical_oracle(10**6 + 1)
     assert is_practical_oracle(10**6 + 2, bound=10**6 + 2) in (True, False)
 
@@ -217,7 +217,7 @@ def test_certify_product_examples():
     assert cert.value == 6 and cert.bound == 4
     assert cert.verify()
 
-    with pytest.raises(BoundViolated):
+    with pytest.raises(InvalidInput, match="exceeds provable bound"):
         certify_product(is_practical(2), 5)
     assert not is_practical(10).practical  # and indeed 10 is not practical
 
@@ -225,6 +225,11 @@ def test_certify_product_examples():
 def test_certify_product_rejects_non_practical_base():
     with pytest.raises(InvalidInput):
         certify_product(is_practical(10), 2)
+    forged = MultiplierCertificate(
+        base=88, multiplier=176, bound=175, bound_kind="doubling", base_evidence=is_practical(88)
+    )
+    with pytest.raises(InvalidInput, match="base evidence certificate does not verify"):
+        certify_product(forged, 2)
 
 
 def test_certificate_chains_and_tampering():
@@ -256,3 +261,11 @@ def test_certificate_chains_and_tampering():
         base_evidence=c1,
     )
     assert not wrong_base.verify()
+    unknown_kind = MultiplierCertificate(
+        base=c1.value,
+        multiplier=3,
+        bound=2 * c1.value - 1,
+        bound_kind="tripling",
+        base_evidence=c1,
+    )
+    assert not unknown_kind.verify()

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from practicum import (
     BudgetExceeded,
-    ClassificationMismatch,
     InvalidInput,
-    ScanBudgetExceeded,
     ap_constructive_witness,
     ap_practical_stream,
     classify_ap,
@@ -114,7 +112,7 @@ def test_stream_examples():
 
 
 def test_stream_budget():
-    with pytest.raises(ScanBudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="raise --scan-bound"):
         ap_practical_stream(3, 5, 50, n_limit=10)
     with pytest.raises(InvalidInput):
         ap_practical_stream(3, 5, 0)
@@ -190,11 +188,11 @@ def test_nonpractical_witness_is_smallest():
 
 
 def test_nonpractical_witness_errors():
-    with pytest.raises(ScanBudgetExceeded, match=r"raise --scan-bound \(n_limit\)"):
+    with pytest.raises(BudgetExceeded, match=r"raise --scan-bound \(n_limit\)"):
         nonpractical_witness([0, 2], n_limit=4)  # 2, 4, 6, 8 all practical
     # 10^40 n is practical for every n below ~10^40: the bound is the only limit
     cap = progressions._POLY_BOUND_CAP
-    with pytest.raises(ScanBudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="raise --scan-bound"):
         nonpractical_witness([0, 10**40], n_limit=1000)
     with pytest.raises(InvalidInput, match=f"scan bound {cap + 1} exceeds {cap} "):
         nonpractical_witness([0, 10**40], n_limit=cap + 1)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from practicum import quadratics
 from practicum import (
+    BudgetExceeded,
     InvalidInput,
-    IterationCap,
     QuadraticPoly,
-    ScanBudgetExceeded,
     classify_quadratic,
     is_practical,
     is_practical_quick,
@@ -252,7 +251,7 @@ def test_least_infinite_prime_examples(monkeypatch):
     assert least_infinite_prime(QuadraticPoly(1, 0, 1)) == (3, 5, (1, 0))
     assert least_infinite_prime(QuadraticPoly(1, 0, 3)) == (4, 7, (2, 1, 0))
     monkeypatch.setattr(quadratics, "_PRIME_CAP", 2)
-    with pytest.raises(IterationCap):
+    with pytest.raises(BudgetExceeded, match="_PRIME_CAP"):
         least_infinite_prime(QuadraticPoly(1, 0, 1))
 
 
@@ -291,7 +290,7 @@ def test_stream_handles_negative_vertex():
 
 
 def test_stream_budget():
-    with pytest.raises(ScanBudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="raise --scan-bound"):
         quad_practical_stream(QuadraticPoly(1, 1, 2), 500, n_limit=30)
 
 

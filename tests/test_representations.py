@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import sqrt_mod_power_of_two_doubling
 from practicum import (
-    BoundViolated,
     InvalidInput,
-    InvalidJ,
-    InvalidResidue,
     decompose_square_plus_practical,
     family_spec,
     family_stream,
@@ -34,10 +31,12 @@ def test_power2_practical_examples():
     assert is_practical_oracle(20)
     assert power2_practical(1, 3).value == 6
     assert power2_practical(3, 16).value == 128  # boundary: 16 == sigma(8)+1
-    with pytest.raises(BoundViolated):
+    with pytest.raises(InvalidInput, match="exceeds provable bound"):
         power2_practical(2, 9)
     with pytest.raises(InvalidInput):
         power2_practical(0, 1)
+    with pytest.raises(InvalidInput, match="multiplier must be >= 1, got 0"):
+        power2_practical(2, 0)
 
 
 def test_sqrt_mod_power_of_two_examples():
@@ -46,7 +45,7 @@ def test_sqrt_mod_power_of_two_examples():
     for k in range(1, 9):
         assert sqrt_mod_power_of_two(1, k) == 1
     assert sqrt_mod_power_of_two(9, 2) == 3
-    with pytest.raises(InvalidResidue):
+    with pytest.raises(InvalidInput, match="1 mod 8"):
         sqrt_mod_power_of_two(3, 2)
     with pytest.raises(InvalidInput):
         sqrt_mod_power_of_two(17, 0)
@@ -139,9 +138,9 @@ def test_family_members():
 
 
 def test_family_invalid_j():
-    with pytest.raises(InvalidJ):
+    with pytest.raises(InvalidInput, match="every number 1 mod 8"):
         family_spec(1)
-    with pytest.raises(InvalidJ):
+    with pytest.raises(InvalidInput, match="j must be in"):
         family_stream(8, 1)
     with pytest.raises(InvalidInput):
         family_stream(0, 0)
@@ -167,6 +166,8 @@ def test_verify_not_representable_examples():
     rep = verify_not_representable(17)
     assert not rep.not_representable
     assert rep.counterexample == (1, 16)
+    with pytest.raises(InvalidInput, match="m must be >= 1, got 0"):
+        verify_not_representable(0)
 
 
 def test_verify_not_representable_documents_the_p2_gap():
@@ -221,6 +222,8 @@ def test_triples_examples():
     assert practical_triples(20) == [4, 6, 18]
     assert practical_triples(10) == [4, 6]
     assert practical_triples(2) == []
+    with pytest.raises(InvalidInput, match="limit must be >= 1, got 0"):
+        practical_triples(0)
     for m in practical_triples(500):
         assert all(is_practical(v).practical for v in (m - 2, m, m + 2))
 

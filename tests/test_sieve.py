@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from practicum import arith, sieve
 from practicum import (
+    BudgetExceeded,
     InvalidInput,
-    MemoryBudgetExceeded,
     PracticalBitmap,
     count_practicals,
     density_report,
@@ -37,6 +37,8 @@ def test_sieve_limit_1():
     bm = sieve_practicals(1)
     assert bm.members().tolist() == [1]
     assert bm.count() == 1
+    with pytest.raises(InvalidInput, match="sieve limit must be >= 1, got 0"):
+        sieve_practicals(0)
 
 
 def test_counts():
@@ -75,20 +77,14 @@ def test_tree_count_agrees_with_bitmap_count():
         assert count_practicals(x) == bm.count(x), x
 
 
-def test_prime_table_extends_at_run_time(monkeypatch):
-    reference = sieve_practicals(10**5)
-    reference_counts = [count_practicals(x) for x in (10, 999, 10**5)]
-    bounds = []
-
-    def primes_upto(limit):
-        bounds.append(limit)
-        return arith.primes_upto(limit)
-
-    monkeypatch.setattr(sieve, "_initial_prime_bound", lambda limit: 2)
-    monkeypatch.setattr(sieve, "primes_upto", primes_upto)
-    assert np.array_equal(sieve_practicals(10**5).flags, reference.flags)
-    assert len(bounds) > 1 and bounds[0] == 2  # the table grew during the walk
-    assert [count_practicals(x) for x in (10, 999, 10**5)] == reference_counts
+def test_prime_table_holds_every_prime_a_walk_reaches():
+    # a node m takes primes up to min(sigma(m) + 1, L // m), and the walk's
+    # table, indexed up to _initial_prime_bound(L), is never extended
+    top = 10**5
+    nodes = [(m, is_practical(m).sigma) for m in sieve_practicals(top).members().tolist()]
+    for limit in (1, 2, 3, 10, 100, 999, 10**4, 54321, top):
+        need = max(min(s + 1, limit // m) for m, s in nodes if m <= limit)
+        assert need < sieve._initial_prime_bound(limit) + 1, limit
 
 
 def test_smooth_practicals_are_the_practical_2_3_smooth_numbers():
@@ -203,7 +199,7 @@ def test_walk_memory_stays_within_its_budget(monkeypatch):
             m.setattr(sieve, "DEFAULT_MEMORY_BUDGET", sieve._walk_bytes(x))
             assert count_practicals(x) > 0
             m.setattr(sieve, "DEFAULT_MEMORY_BUDGET", sieve._walk_bytes(x) - 1)
-            with pytest.raises(MemoryBudgetExceeded):
+            with pytest.raises(BudgetExceeded, match="DEFAULT_MEMORY_BUDGET"):
                 count_practicals(x)
     bitmap = sieve_practicals(10**4)  # built first: the fill checks the same budget
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", 0)
@@ -214,14 +210,14 @@ def test_budget_errors_name_their_knob(monkeypatch):
     need = sieve._walk_bytes(10**6)
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", need - 1)
     knob = re.escape(f"over sieve.DEFAULT_MEMORY_BUDGET = {need - 1} ")
-    with pytest.raises(MemoryBudgetExceeded, match=f"needs {need} bytes, {knob}"):
+    with pytest.raises(BudgetExceeded, match=f"needs {need} bytes, {knob}"):
         count_practicals(10**6)
-    with pytest.raises(MemoryBudgetExceeded, match=r"sieve\.DEFAULT_MEMORY_BUDGET"):
+    with pytest.raises(BudgetExceeded, match=r"sieve\.DEFAULT_MEMORY_BUDGET"):
         density_report([10, 10**6])
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", 1000)
     message = ("needs 1000001 bytes, over sieve.DEFAULT_MEMORY_BUDGET = 1000"
                " (the largest sieve --limit it fits is 999)")
-    with pytest.raises(MemoryBudgetExceeded, match=re.escape(message) + "$"):
+    with pytest.raises(BudgetExceeded, match=re.escape(message) + "$"):
         sieve_practicals(10**6)
 
 
@@ -272,11 +268,11 @@ def test_membership_range_checks():
 def test_memory_budget(monkeypatch):
     # the fill reads sieve.DEFAULT_MEMORY_BUDGET when it runs, as the tree count does
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", 1000)
-    with pytest.raises(MemoryBudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="DEFAULT_MEMORY_BUDGET"):
         sieve_practicals(10**6)
     limit = 5000  # the fill holds limit + 1 bytes of flags
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", limit)
-    with pytest.raises(MemoryBudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="DEFAULT_MEMORY_BUDGET"):
         sieve_practicals(limit)
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", limit + 1)
     assert sieve_practicals(limit).count() == len([n for n in range(1, limit + 1) if is_practical(n).practical])
