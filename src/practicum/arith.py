@@ -2,11 +2,11 @@
 
 Factorization (a trial stage that yields prime powers in increasing order
 up to _TRIAL_BOUND, then Pollard-Brent, under a work limit that
-factor_budget sets for a scope),
-divisor sums, p-adic valuations, a CRT solver that accepts non-coprime
-moduli and the two ways primes are produced: prime_stream walks 2, 3, 4, ...
-through the primality test _is_prime (Miller-Rabin, proven below psi_13 ~
-3.3 * 10^24, Baillie-PSW above), and primes_upto sieves a numpy prime
+factor_budget sets for a scope), divisor sums, p-adic valuations, a CRT
+solver that accepts non-coprime moduli and the two ways primes are
+produced: prime_stream walks 2, 3, 4, ... through the primality test
+_is_prime (Miller-Rabin, proven below psi_13 ~ 3.3 * 10^24, Baillie-PSW
+above) under the same work limit, and primes_upto sieves a numpy prime
 table.  Everything here works on arbitrary-precision ints; only the prime
 table is restricted to machine-word sizes.
 """
@@ -19,7 +19,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
 from .errors import BudgetExceeded, InvalidInput
@@ -38,8 +38,9 @@ _PSI_13 = 3317044064679887385961981
 # Trial division stops at the first wheel candidate above _TRIAL_BOUND.  A
 # factorization may charge work_limit units: one per wheel candidate passed,
 # divided into n or cleared with its block by one gcd, and one per rho step.
-# The limit crosses every layer between a command and the factorizations it
-# causes, none of which owns it, so factor_budget sets it for a scope.
+# A prime_stream charges its own work_limit units, one per prime.  The limit
+# crosses every layer between a command and the factorizations and prime
+# walks it causes, none of which owns it, so factor_budget sets it for a scope.
 _TRIAL_BOUND = 1 << 16
 DEFAULT_WORK_LIMIT = 1 << 23
 _work_limit: ContextVar[int] = ContextVar("factor_budget", default=DEFAULT_WORK_LIMIT)
@@ -229,12 +230,12 @@ class _WorkMeter:
     def charge(self, amount: int, n: int) -> None:
         self.left -= amount
         if self.left < 0:
-            raise _out_of_work(n)
+            raise _out_of_work(f"factoring {n}")
 
 
-def _out_of_work(n: int) -> BudgetExceeded:
+def _out_of_work(task: str) -> BudgetExceeded:
     return BudgetExceeded(
-        f"factorization work limit exhausted while factoring {n}: "
+        f"factorization work limit exhausted while {task}: "
         "raise --factor-work (factor_budget's work_limit)"
     )
 
@@ -308,7 +309,7 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
             break
         if j == walk_end:
             if j == work_limit:  # candidate j would cost one unit more than the limit
-                raise _out_of_work(n)
+                raise _out_of_work(f"factoring {n}")
             block_end = (j // _BLOCK + 1) * _BLOCK
             if math.gcd(n, _block_product(j // _BLOCK)) == 1:  # none left in the block divides n
                 stop = _candidates_upto(min(math.isqrt(n), trial_bound, cap))
@@ -388,8 +389,16 @@ def crt_solve(system: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 
 def prime_stream() -> Iterator[int]:
-    """2, 3, 5, 7, ... without end: the integers from 2 that pass _is_prime."""
-    return filter(_is_prime, count(2))
+    """2, 3, 5, 7, ...: the integers from 2 that pass _is_prime, at one unit
+    per prime of the work limit in force when the stream starts.
+
+    The primes never run out; the units do, and the prime after the last
+    one raises BudgetExceeded.  A walk for a prime that provably exists
+    (see quadratics) thus ends at it or at the limit, never earlier.
+    """
+    limit = _work_limit.get()
+    yield from islice(filter(_is_prime, count(2)), limit)
+    raise _out_of_work(f"walking primes past the first {limit}")
 
 
 def primes_upto(limit: int) -> np.ndarray:

@@ -64,12 +64,12 @@ def _resolve_globals(args: argparse.Namespace) -> None:
             try:
                 config = json.load(fh)
             except ValueError as exc:  # not JSON, or not UTF-8
-                raise PracticumError(f"config file {args.config}: {exc}") from exc
+                raise InvalidInput(f"config file {args.config}: {exc}") from exc
         if not isinstance(config, dict):
-            raise PracticumError(f"config file {args.config}: not a JSON object")
+            raise InvalidInput(f"config file {args.config}: not a JSON object")
     for key, value in config.items():
         if key not in _GLOBAL_FLAGS:
-            raise PracticumError(f"unknown config key: {key}")
+            raise InvalidInput(f"unknown config key: {key}")
         kind = type(_GLOBAL_FLAGS[key])
         try:
             if kind is int and (isinstance(value, bool) or isinstance(value, float)
@@ -77,7 +77,7 @@ def _resolve_globals(args: argparse.Namespace) -> None:
                 raise TypeError  # int() would take true for 1 and truncate 100.9
             config[key] = kind(value)
         except (TypeError, ValueError):
-            raise PracticumError(f"config key {key}: {value!r} is not {kind.__name__}") from None
+            raise InvalidInput(f"config key {key}: {value!r} is not {kind.__name__}") from None
     env_cache = os.environ.get("PRACTICUM_CACHE_DIR")
     for name, default in _GLOBAL_FLAGS.items():
         attr = name.replace("-", "_")
@@ -85,9 +85,9 @@ def _resolve_globals(args: argparse.Namespace) -> None:
             fallback = env_cache if name == "cache-dir" and env_cache else default
             setattr(args, attr, config.get(name, fallback))
         if isinstance(default, int) and getattr(args, attr) < 1:
-            raise PracticumError(f"{name} must be positive")
+            raise InvalidInput(f"{name} must be positive")
     if args.format not in _FORMATS:  # a config-file value skips argparse's choices
-        raise PracticumError(f"unknown output format: {args.format}")
+        raise InvalidInput(f"unknown output format: {args.format}")
 
 
 # ---------------------------------------------------------------------------
@@ -543,19 +543,25 @@ def emit(payload: dict, fmt: str, out=None) -> None:
         for key, value in payload.items():
             print(f"{key} = {_flatten_cell(value)}", file=out)
     else:
-        raise PracticumError(f"unknown output format: {fmt}")
+        raise InvalidInput(f"unknown output format: {fmt}")
 
 
-def _reject_unknown_global_flags(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Exit 2 naming an unknown option (`-x`, `--name` or `--name=value`)
-    before the subcommand.  argparse would set it aside and then report its
-    value as an invalid subcommand.  A prefix of one known flag is argparse's
-    to expand, and a prefix of several its to call ambiguous."""
+def _end_global_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv without a `--` that ends the global flags; exit 2 naming an unknown
+    option (`-x`, `--name` or `--name=value`) before the subcommand.  argparse
+    would report that option's value, or the `--`, as an invalid subcommand.
+    A prefix of one known flag is argparse's to expand, and a prefix of
+    several its to call ambiguous."""
     known = [f"--{name}" for name in (*_GLOBAL_FLAGS, "config", "help")]
-    tokens = iter(argv)
-    for token in tokens:
-        if not token.startswith("-") or token in ("-", "--", "-h"):
-            return  # the subcommand, or an argument argparse handles
+    tokens = iter(enumerate(argv))
+    for i, token in tokens:
+        if token == "--":
+            rest = argv[i + 1:]
+            if rest and rest[0].startswith("-"):
+                parser.error(f"expected a command after '--', got {rest[0]!r}")
+            return argv[:i] + rest
+        if not token.startswith("-") or token in ("-", "-h"):
+            return argv  # the subcommand, or an argument argparse handles
         name, eq, _ = token.partition("=")
         matches = [flag for flag in known if flag.startswith(name)]
         if not matches:
@@ -563,17 +569,17 @@ def _reject_unknown_global_flags(parser: argparse.ArgumentParser, argv: list[str
         if name in matches:
             matches = [name]
         if len(matches) > 1 or matches == ["--help"]:
-            return
+            return argv
         if not eq:
             next(tokens, None)  # the flag's value
+    return argv
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # integers with thousands of digits, in and out
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    _reject_unknown_global_flags(parser, argv)
+    argv = _end_global_flags(parser, sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     try:
         _resolve_globals(args)

@@ -7,6 +7,12 @@ the finite exponents, stops at the first infinite prime p_r, and the
 number p_1^m1 ... p_{r-1}^m{r-1} p_r is practical iff q represents
 infinitely many practical numbers.
 
+The walk has no cap of its own, because p_r exists: for p prime to 2a (and
+to disc != 0) the roots mod p are simple and lift, so m_q(p) is infinite if
+disc is a square, 0 included, or (disc/p) = 1, which a non-square disc meets
+infinitely often, first at O(log^2 |disc|) under GRH (Bach, Math. Comp. 55,
+1990).  prime_stream charges each prime to the work limit in force instead.
+
 m_q is computed by splitting the roots into residue classes n = rho (mod
 p^d), breadth first (`_class_split`): a class carries the largest power
 p^level dividing q on all of it, and splits on the roots mod p of its
@@ -40,13 +46,11 @@ from .practical import (
 INFINITELY_MANY = "infinitely_many"
 FINITELY_MANY = "finitely_many"
 
-# Caps on the m_q walk and the witness construction.  Running out of primes
-# or rounds raises BudgetExceeded, a failure rather than an outcome.  They are
-# read at call time, so a test can lower one.
-_PRIME_CAP = 100         # primes walked looking for an infinite m_q
+# Caps on the witness construction.  Running out of rounds raises
+# BudgetExceeded, a failure rather than an outcome.  They are read at call
+# time, so a test can lower one.
 _ROOT_CAP = 8            # smallest roots kept per prime power dividing D
 _WITNESS_ROUNDS = 60     # escalation rounds of quad_constructive_witness
-_T_SCAN_CAP = 20000      # primes scanned for extra root primes t
 _COMBO_CAP = 128         # root combinations tried per round
 
 
@@ -221,17 +225,14 @@ def mq(q: QuadraticPoly, p: int) -> MqResult:
 
 
 def _mq_walk(q: QuadraticPoly) -> list[MqResult]:
-    """m_q at 2, 3, 5, ... up to and including the least prime with infinite
-    m_q.  Some prime always qualifies; running past _PRIME_CAP primes raises
-    BudgetExceeded and should be treated as a failure, not an outcome."""
-    walk = []
-    for p in islice(prime_stream(), _PRIME_CAP):
-        walk.append(mq(q, p))
-        if walk[-1].infinite:
-            return walk
-    raise BudgetExceeded(
-        f"no prime with infinite m_q among the first {_PRIME_CAP} primes (_PRIME_CAP) for {q}"
-    )
+    """m_q at 2, 3, 5, ... up to and including p_r, the least prime with
+    infinite m_q.  p_r exists (module docstring); each prime walked costs
+    one unit of the work limit, whose end raises BudgetExceeded."""
+    walk: list[MqResult] = []
+    primes = prime_stream()
+    while not walk or not walk[-1].infinite:
+        walk.append(mq(q, next(primes)))
+    return walk
 
 
 def classify_quadratic(q: QuadraticPoly) -> QuadClassification:
@@ -379,10 +380,9 @@ def _class_split(q: QuadraticPoly, p: int, k: int):
 
 
 def _t_prime_candidates(q: QuadraticPoly, p_r: int):
-    """Primes t > p_r with q solvable mod t, among the first _T_SCAN_CAP."""
-    for t in islice(prime_stream(), _T_SCAN_CAP):
-        if t > p_r and _roots_mod_prime(q, t):
-            yield t
+    """Primes t > p_r with q solvable mod t, without end: the primes p_r's
+    argument finds are infinitely many (module docstring)."""
+    return (t for t in prime_stream() if t > p_r and _roots_mod_prime(q, t))
 
 
 def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
@@ -461,11 +461,7 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
         if round_no % 2 == 0:
             k += 1
         else:
-            nxt = next(t_iter, None)
-            if nxt is None:
-                k += 1
-            else:
-                t_list.append(nxt)
+            t_list.append(next(t_iter))
     raise BudgetExceeded(
         f"witness construction for {q} did not converge in {_WITNESS_ROUNDS} rounds"
         " (_WITNESS_ROUNDS)"

@@ -95,7 +95,6 @@ class RepresentationTrace:
     m: int
     not_representable: bool
     counterexample: tuple[int, int] | None = None  # (x, practical m - x^2)
-    trace: tuple[tuple[int, int, PracticalityVerdict], ...] | None = None
 
 
 def power2_practical(k: int, multiplier: int) -> MultiplierCertificate:
@@ -189,36 +188,18 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-def verify_not_representable(m: int, collect_trace: bool = False) -> RepresentationTrace:
+def verify_not_representable(m: int) -> RepresentationTrace:
     """Exhaustively test that no x with x^2 < m leaves m - x^2 practical.
 
-    x = 0 is included, so m itself is also checked.  With collect_trace the
-    result carries a full per-x record of verdicts (slower: every remainder
-    is fully factored).
+    x = 0 is included, so m itself is also checked.
     """
     if m < 1:
         raise InvalidInput(f"m must be >= 1, got {m}")
-    trace = [] if collect_trace else None
     for x in range(math.isqrt(m - 1) + 1):
         part = m - x * x
-        if collect_trace:
-            verdict = is_practical(part)
-            trace.append((x, part, verdict))
-            practical = verdict.practical
-        else:
-            practical = is_practical_quick(part)
-        if practical:
-            return RepresentationTrace(
-                m=m,
-                not_representable=False,
-                counterexample=(x, part),
-                trace=tuple(trace) if trace is not None else None,
-            )
-    return RepresentationTrace(
-        m=m,
-        not_representable=True,
-        trace=tuple(trace) if trace is not None else None,
-    )
+        if is_practical_quick(part):
+            return RepresentationTrace(m=m, not_representable=False, counterexample=(x, part))
+    return RepresentationTrace(m=m, not_representable=True)
 
 
 def goldbach_pair(

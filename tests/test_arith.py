@@ -171,6 +171,14 @@ def test_prime_stream():
     assert first == primes_upto(97).tolist()
 
 
+def test_prime_stream_charges_a_unit_per_prime():
+    it = prime_stream()
+    with factor_budget(5):
+        assert [next(it) for _ in range(5)] == [2, 3, 5, 7, 11]
+        with pytest.raises(BudgetExceeded, match="raise --factor-work"):
+            next(it)
+
+
 def test_primes_upto_matches_stream():
     it = prime_stream()
     expected = []

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import time_limit
-from practicum import arith, cli, quadratics, representations
+from practicum import InvalidInput, arith, cli, quadratics, representations
 from practicum.arith import crt_solve
 from practicum.cli import build_parser, main
 from practicum.sieve import PracticalBitmap, sieve_practicals
@@ -373,6 +373,19 @@ def test_bad_config_values_exit_2(capsys, tmp_path):
     assert code == 2 and "101" in err
 
 
+def test_argument_checks_raise_invalid_input(tmp_path):
+    # each check of the config file, the flag values and the output format
+    for text in ('{"format": "json",', '[1]', '{"no-such-key": 1}', '{"scan-bound": "abc"}',
+                 '{"scan-bound": 0}', '{"format": "xml"}'):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        args = build_parser().parse_args(["--config", str(cfg), "test", "6"])
+        with pytest.raises(InvalidInput):
+            cli._resolve_globals(args)
+    with pytest.raises(InvalidInput, match="unknown output format: xml"):
+        cli.emit({}, "xml")
+
+
 def test_config_format_is_rejected_before_the_command_runs(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cache = tmp_path / "cache"
@@ -435,6 +448,14 @@ def test_unknown_global_flag_is_named(capsys):
         err = capsys.readouterr().err
         assert exc.value.code == 2, argv
         assert f"unrecognized global flag: {flag}" in err and "invalid choice" not in err, argv
+    # a `--` ends the global flags; what follows it must be the command
+    assert run_cli(capsys, "--", "test", "6") == run_cli(capsys, "test", "6")
+    assert run_cli(capsys, "--form", "csv", "--", "test", "6")[0] == 0
+    for argv in (["--", "--bogus"], ["--", "--format", "csv", "test", "6"], ["--"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "invalid choice" not in capsys.readouterr().err, argv
     # known flags, with a value after = or abbreviated, still parse
     code, out, _ = run_cli(capsys, "--form", "csv", "--scan-bound=4", "test", "6")
     assert (code, out) == (0, "n,practical,chain\n6,True,[[2,1,3],[3,1,12]]\n")
@@ -505,6 +526,9 @@ _NEEDS_FACTORING = {
     "quad stream": ["quad", "stream", "1", "0", str(2**20 * int(_SEMIPRIME) - 1), "--count", "1"],
     # the first member is 24 mod 32: sigma(8) + 1 = 16 passes the wheel's 7 and 11
     "family --verify": ["family", "0", "--count", "1", "--verify"],
+    # the m_q walks pay a unit per prime, and p_r is 5 for n^2 + 1, 7 for n^2 + 3
+    "quad classify": ["quad", "classify", "1", "0", "1"],
+    "quad witness": ["quad", "witness", "1", "0", "3", "--min", "100"],
 }
 
 

@@ -43,9 +43,9 @@ def _factor_work(monkeypatch):
         factorize(1_000_003 * 1_000_033)
 
 
-def _prime_cap(monkeypatch):
-    monkeypatch.setattr(quadratics, "_PRIME_CAP", 2)
-    classify_quadratic(QuadraticPoly(1, 0, 1))  # its least infinite prime is 5
+def _prime_walk(monkeypatch):
+    with factor_budget(2):
+        classify_quadratic(QuadraticPoly(1, 0, 1))  # its least infinite prime is 5
 
 
 def _witness_rounds(monkeypatch):
@@ -73,7 +73,7 @@ SITES = {
     "poly scan": (lambda mp: nonpractical_witness([0, 2], n_limit=4), "raise --scan-bound"),
     "sieve memory": (_sieve_memory, "sieve.DEFAULT_MEMORY_BUDGET"),
     "walk memory": (_walk_memory, "sieve.DEFAULT_MEMORY_BUDGET"),
-    "m_q primes": (_prime_cap, "(_PRIME_CAP)"),
+    "m_q primes": (_prime_walk, "raise --factor-work"),
     "witness rounds": (_witness_rounds, "(_WITNESS_ROUNDS)"),
 }
 

@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -12,13 +13,17 @@ from practicum import (
     InvalidInput,
     QuadraticPoly,
     classify_quadratic,
+    crt_solve,
+    factor_budget,
     is_practical,
     is_practical_quick,
     mq,
+    prime_stream,
     quad_constructive_witness,
     quad_practical_stream,
     valuation,
 )
+from practicum.arith import _jacobi
 from practicum.quadratics import (
     FiniteWitness,
     InfiniteWitness,
@@ -242,7 +247,7 @@ def test_mq_content_decomposition_against_oracle():
                     assert res.exponent == lvl
 
 
-def test_least_infinite_prime_examples(monkeypatch):
+def test_least_infinite_prime_examples():
     def least_infinite_prime(q):
         cls = classify_quadratic(q)
         return cls.r, cls.p_r, cls.exponents
@@ -250,9 +255,42 @@ def test_least_infinite_prime_examples(monkeypatch):
     assert least_infinite_prime(QuadraticPoly(1, 1, 2)) == (1, 2, ())
     assert least_infinite_prime(QuadraticPoly(1, 0, 1)) == (3, 5, (1, 0))
     assert least_infinite_prime(QuadraticPoly(1, 0, 3)) == (4, 7, (2, 1, 0))
-    monkeypatch.setattr(quadratics, "_PRIME_CAP", 2)
-    with pytest.raises(BudgetExceeded, match="_PRIME_CAP"):
+    # the walk pays one unit of the work limit per prime: 2 and 3, not 5
+    with factor_budget(2), pytest.raises(BudgetExceeded, match="--factor-work"):
         least_infinite_prime(QuadraticPoly(1, 0, 1))
+
+
+def _nonresidue_discriminant(k: int) -> int:
+    """D = 5 (mod 8) and, for each of the first k primes p > 2, the least
+    non-residue mod p: n^2 - D has m_q = 2, 0, 0, ... at those k primes."""
+    system = [(5, 8)]
+    for p in islice(prime_stream(), 1, k):
+        z = 2
+        while _jacobi(z, p) != -1:
+            z += 1
+        system.append((z, p))
+    return crt_solve(system)[0]
+
+
+@pytest.mark.parametrize("k, digits, r, p_r", [
+    (100, 221, 104, 569), (200, 513, 202, 1231), (400, 1171, 401, 2749),
+])
+def test_walk_runs_to_the_least_infinite_prime(k, digits, r, p_r):
+    # no early stop: the least p with (D/p) = 1 lies past the k-th prime
+    D = _nonresidue_discriminant(k)
+    assert len(str(D)) == digits
+    cls = classify_quadratic(QuadraticPoly(1, 0, -D))
+    assert (cls.case, cls.r, cls.p_r) == ("finitely_many", r, p_r)
+    assert cls.exponents == (2,) + (0,) * (r - 2)
+
+
+def test_classifications_of_small_quadratics_are_frozen():
+    # the reprs of all 1,156 classifications with a <= 4 and |b|, |c| <= 8,
+    # as the walk capped at 100 primes gave them
+    reprs = "\n".join(repr(classify_quadratic(QuadraticPoly(a, b, c)))
+                      for a in range(1, 5) for b in range(-8, 9) for c in range(-8, 9))
+    assert (hashlib.sha256(reprs.encode()).hexdigest()
+            == "4c9536e2f7ebe1e5b3180862c2cf43b8171d8e97b9f8a6c48d381d822c1bb8eb")
 
 
 def test_classify_anchors():

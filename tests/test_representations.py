@@ -179,11 +179,9 @@ def test_verify_not_representable_documents_the_p2_gap():
 
 
 def test_verify_not_representable_trace():
-    rep = verify_not_representable(74, collect_trace=True)
-    assert rep.not_representable
-    assert len(rep.trace) == 9  # x = 0..8
-    for x, part, verdict in rep.trace:
-        assert part == 74 - x * x
+    assert verify_not_representable(74).not_representable
+    for x in range(9):  # x = 0..8, x^2 < 74
+        verdict = is_practical(74 - x * x)
         assert not verdict.practical
         assert verdict.replay()
 
