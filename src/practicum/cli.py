@@ -526,22 +526,21 @@ def _flatten_cell(value) -> str:
     return str(value)
 
 
-def emit(payload: dict, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2), file=out)
+        print(json.dumps(payload, indent=2))
     elif fmt == "csv":
         # a report's rows form the table; any other payload is one row
         rows = payload.get("rows")
         if not (isinstance(rows, list) and rows and isinstance(rows[0], dict)):
             rows = [payload]
         keys = list(rows[0].keys())
-        print(",".join(keys), file=out)
+        print(",".join(keys))
         for row in rows:
-            print(",".join(_flatten_cell(row[k]) for k in keys), file=out)
+            print(",".join(_flatten_cell(row[k]) for k in keys))
     elif fmt == "plain":
         for key, value in payload.items():
-            print(f"{key} = {_flatten_cell(value)}", file=out)
+            print(f"{key} = {_flatten_cell(value)}")
     else:
         raise InvalidInput(f"unknown output format: {fmt}")
 

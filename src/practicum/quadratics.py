@@ -5,13 +5,20 @@ of the k for which q has a root modulo p^k; it is infinite exactly when q
 has a p-adic integer root.  The classifier walks primes in order, collects
 the finite exponents, stops at the first infinite prime p_r, and the
 number p_1^m1 ... p_{r-1}^m{r-1} p_r is practical iff q represents
-infinitely many practical numbers.
+infinitely many practical numbers.  Each answer walks once: the witness
+takes its extra primes t from the same stream, past p_r.
 
 The walk has no cap of its own, because p_r exists: for p prime to 2a (and
 to disc != 0) the roots mod p are simple and lift, so m_q(p) is infinite if
 disc is a square, 0 included, or (disc/p) = 1, which a non-square disc meets
 infinitely often, first at O(log^2 |disc|) under GRH (Bach, Math. Comp. 55,
 1990).  prime_stream charges each prime to the work limit in force instead.
+
+If that number fails Stewart's test at P, every practical value v = q(n)
+divides its practical prefix A, so a finite stream stops past A:
+  - each p < P has v_p(v) <= m_q(p), so v's part below P divides A;
+  - v's least prime factor Q >= P, if any, would need Q <= sigma(A) + 1 < P;
+  - so v has no prime factor >= P, and v divides A.
 
 m_q is computed by splitting the roots into residue classes n = rho (mod
 p^d), breadth first (`_class_split`): a class carries the largest power
@@ -224,21 +231,13 @@ def mq(q: QuadraticPoly, p: int) -> MqResult:
     return MqResult(p=p, exponent=v + exponent, content_val=v, witness=witness)
 
 
-def _mq_walk(q: QuadraticPoly) -> list[MqResult]:
-    """m_q at 2, 3, 5, ... up to and including p_r, the least prime with
-    infinite m_q.  p_r exists (module docstring); each prime walked costs
-    one unit of the work limit, whose end raises BudgetExceeded."""
+def _classify(q: QuadraticPoly, primes) -> QuadClassification:
+    """classify_quadratic on the caller's stream of 2, 3, 5, ...: m_q up to
+    p_r, the least prime with infinite m_q (it exists: module docstring),
+    leaving the stream just past p_r.  Each prime costs a unit of work."""
     walk: list[MqResult] = []
-    primes = prime_stream()
     while not walk or not walk[-1].infinite:
         walk.append(mq(q, next(primes)))
-    return walk
-
-
-def classify_quadratic(q: QuadraticPoly) -> QuadClassification:
-    """Infinitely many practical values of q, or finitely many, decided by
-    the practicality of p_1^m1 ... p_{r-1}^m{r-1} p_r."""
-    walk = _mq_walk(q)
     p_r = walk[-1].p
     factors = [(res.p, res.exponent) for res in walk[:-1] if res.exponent]
     verdict = practical_from_factorization(Factorization((*factors, (p_r, 1))))
@@ -254,30 +253,37 @@ def classify_quadratic(q: QuadraticPoly) -> QuadClassification:
     )
 
 
+def classify_quadratic(q: QuadraticPoly) -> QuadClassification:
+    """Infinitely many practical values of q, or finitely many, decided by
+    the practicality of p_1^m1 ... p_{r-1}^m{r-1} p_r."""
+    return _classify(q, prime_stream())
+
+
 def quad_practical_stream(
     q: QuadraticPoly, count: int, n_limit: int = DEFAULT_SCAN_BOUND
 ) -> list[int]:
     """The `count` smallest practical values among q(1), q(2), ...
 
-    Scans until the values are provably the smallest (past the vertex and
-    beyond the current count-th hit).  A shortfall within n_limit returns
-    the hits found when the classification is finite, and raises
-    BudgetExceeded when it is infinite.
+    Scans until the values are provably the smallest: past the vertex and
+    beyond the count-th hit, or beyond A for a finite q (module docstring).
+    A shortfall within n_limit returns the hits found when the
+    classification is finite, and raises BudgetExceeded when it is infinite.
     """
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
+    cls = classify_quadratic(q)
     hits: set[int] = set()
     turn = max(1, (-q.b) // (2 * q.a) + 1)  # q strictly increasing from here
-    kth = None
+    top = cls.verdict_n.prefix if cls.case == FINITELY_MANY else None
     for n in range(1, n_limit + 1):
         v = q(n)
         if v >= 1 and is_practical_quick(v):
             hits.add(v)
-            kth = sorted(hits)[count - 1] if len(hits) >= count else None
-        if kth is not None and n >= turn and v > kth:
+            top = sorted(hits)[count - 1] if len(hits) >= count else top
+        if top is not None and n >= turn and v > top:
             break
     values = sorted(hits)[:count]
-    if len(values) < count and classify_quadratic(q).case == INFINITELY_MANY:
+    if len(values) < count and cls.case == INFINITELY_MANY:
         raise BudgetExceeded(
             f"only {len(values)} practical values of {q} within n <= {n_limit}: "
             "raise --scan-bound (n_limit)"
@@ -379,17 +385,11 @@ def _class_split(q: QuadraticPoly, p: int, k: int):
                          rho + r * step, step * p, level))
 
 
-def _t_prime_candidates(q: QuadraticPoly, p_r: int):
-    """Primes t > p_r with q solvable mod t, without end: the primes p_r's
-    argument finds are infinitely many (module docstring)."""
-    return (t for t in prime_stream() if t > p_r and _roots_mod_prime(q, t))
-
-
 def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
     """A practical value q(n) >= threshold, built rather than scanned.
 
     Assembles a divisor D from the finite prime powers, p_r^k with
-    p_r^k > threshold, and (when needed) extra primes with roots; a CRT
+    p_r^k > threshold, and (when needed) the next primes with roots; a CRT
     solution n makes q(n) divisible by D, and q(n) is certified practical
     once q(n)/D <= sigma(D) + 1.  Root choices steer where n lands inside
     [1, D], so up to _COMBO_CAP root combinations are tried per round,
@@ -399,7 +399,8 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
     """
     if threshold < 1:
         raise InvalidInput(f"threshold must be >= 1, got {threshold}")
-    cls = classify_quadratic(q)
+    primes = prime_stream()
+    cls = _classify(q, primes)
     if cls.case != INFINITELY_MANY:
         raise InvalidInput(
             f"{q} is classified {cls.case}; no practical value construction"
@@ -411,7 +412,6 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
     while p_r**k <= threshold:
         k += 1
 
-    t_iter = _t_prime_candidates(q, p_r)
     t_list: list[int] = []
     for round_no in range(_WITNESS_ROUNDS):
         factors = sorted(prefix + [(p_r, k)] + [(t, 1) for t in t_list])
@@ -461,7 +461,7 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
         if round_no % 2 == 0:
             k += 1
         else:
-            t_list.append(next(t_iter))
+            t_list.append(next(t for t in primes if _roots_mod_prime(q, t)))
     raise BudgetExceeded(
         f"witness construction for {q} did not converge in {_WITNESS_ROUNDS} rounds"
         " (_WITNESS_ROUNDS)"

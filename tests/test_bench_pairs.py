@@ -90,9 +90,19 @@ def test_each_side_runs_with_its_own_empty_pycache_prefix(monkeypatch, tmp_path)
     assert bench_pairs.main(["--rev", "HEAD", "--workload", "certify", "--pairs", "2",
                              "--seconds", "1", "--out", str(out)]) == 0
 
+    assert json.loads(out.read_text())["machine"]["bytecode"] == {
+        "measured": "warm: each side's own PYTHONPYCACHEPREFIX, PYTHONDONTWRITEBYTECODE unset",
+        "caller": "cold: PYTHONDONTWRITEBYTECODE is set, so a fresh checkout compiles "
+                  "its sources in every process",
+    }
     trees = {tree for tree, _ in first_seen}
     prefixes = {prefix for _, prefix in first_seen}
     assert bench_pairs.ROOT in trees and len(trees) == 2
     assert len(prefixes) == 2 and len(first_seen) == 2  # one prefix per side
     assert all(contents == [] for contents in first_seen.values())
     assert not any(bench_pairs.ROOT in prefix.parents for prefix in prefixes)
+
+
+def test_machine_records_a_warm_caller(monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert bench_pairs.machine()["bytecode"]["caller"].startswith("warm after the first process")

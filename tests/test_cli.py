@@ -204,6 +204,22 @@ def test_cache_write_is_atomic(capsys, tmp_path, monkeypatch):
     assert data["path"] == str(cache / "practical-500.bits")
 
 
+def test_two_sieves_at_once_leave_one_loadable_entry(tmp_path):
+    # both processes miss the empty cache, fill the same entry and write it
+    cache = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    argv = [sys.executable, "-m", "practicum.cli", "--cache-dir", str(cache),
+            "sieve", "--limit", "200000"]
+    procs = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for _ in range(2)]
+    outputs = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outputs
+    assert [p.name for p in cache.iterdir()] == ["practical-200000.bits"]  # no .tmp left
+    bitmap = PracticalBitmap.load(cache / "practical-200000.bits")
+    assert bitmap.limit == 200000 and bitmap.bits == sieve_practicals(200000).bits
+    assert outputs[0][0] == outputs[1][0]
+
+
 def test_corrupt_cache_entry_is_logged_and_rebuilt(capsys, caplog, tmp_path, monkeypatch):
     monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path / "clean"))
     clean = run_cli(capsys, "triples", "--limit", "498")

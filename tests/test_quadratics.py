@@ -332,6 +332,49 @@ def test_stream_budget():
         quad_practical_stream(QuadraticPoly(1, 1, 2), 500, n_limit=30)
 
 
+def test_stream_classifies_before_it_scans():
+    # the m_q walk of n^2 + 1 takes 2, 3 and 5; the scan alone stops at q(2)
+    with factor_budget(2), pytest.raises(BudgetExceeded, match="--factor-work"):
+        quad_practical_stream(QuadraticPoly(1, 0, 1), 1)
+    with factor_budget(3):
+        assert quad_practical_stream(QuadraticPoly(1, 0, 1), 1) == [2]
+
+
+def test_finite_stream_stops_past_its_prefix(monkeypatch):
+    # n^2 + 1 fails Stewart's test at 5 with prefix A = 2: the scan ends at
+    # q(2) = 5 > A, where a blind scan would test all 10^5 values
+    tested = []
+    monkeypatch.setattr(quadratics, "is_practical_quick",
+                        lambda v: tested.append(v) or is_practical_quick(v))
+    assert quad_practical_stream(QuadraticPoly(1, 0, 1), 5) == [2]
+    assert len(tested) < 100
+
+
+def test_practical_values_of_finite_quadratics_divide_the_prefix():
+    # the module docstring's bound, on all 320 finite q with a <= 4 and |b|, |c| <= 8;
+    # the stream, which stops past the prefix, returns what a scan to 2,000 finds
+    hits = 0
+    for a, b, c in product(range(1, 5), range(-8, 9), range(-8, 9)):
+        q = QuadraticPoly(a, b, c)
+        cls = classify_quadratic(q)
+        if cls.case == "finitely_many":
+            values = {q(n) for n in range(1, 2001) if q(n) >= 1 and is_practical_quick(q(n))}
+            assert all(cls.verdict_n.prefix % v == 0 for v in values), q
+            assert quad_practical_stream(q, len(values) + 1) == sorted(values), q
+            hits += len(values)
+    assert hits == 82
+
+
+_BOX = [QuadraticPoly(a, b, c) for a in range(1, 4) for b in range(-6, 7) for c in range(-6, 7)]
+
+
+def test_streams_of_small_quadratics_are_frozen():
+    # a <= 3 and |b|, |c| <= 6, as the scan gave them before it stopped at A
+    reprs = "\n".join(repr(quad_practical_stream(q, count)) for q in _BOX for count in (1, 3))
+    assert (hashlib.sha256(reprs.encode()).hexdigest()
+            == "7001486c7e685fb594d25a9d9b429865d9434a553e6e51ff6626bdb68afe9d0e")
+
+
 def test_constructive_witness_contract():
     q = QuadraticPoly(1, 1, 2)
     w = quad_constructive_witness(q, 10)
@@ -402,6 +445,24 @@ def test_constructive_witness_negative_vertex_values():
 def test_constructive_witness_rejects_finite():
     with pytest.raises(InvalidInput):
         quad_constructive_witness(QuadraticPoly(1, 0, 1), 10)
+
+
+def test_witness_walks_one_prime_stream(monkeypatch):
+    # its t primes continue the m_q walk instead of restarting at 2
+    starts = []
+    monkeypatch.setattr(quadratics, "prime_stream", lambda: starts.append(1) or prime_stream())
+    w = quad_constructive_witness(QuadraticPoly(2, -7, -4), 10**3)
+    assert w.t_primes == (3,) and len(starts) == 1
+
+
+def test_witnesses_of_small_quadratics_are_frozen():
+    # every infinite q with a <= 3 and |b|, |c| <= 6, as the witness gave them
+    # with a second prime walk for its t primes
+    reprs = "\n".join(repr(quad_constructive_witness(q, threshold)) for q in _BOX
+                      if classify_quadratic(q).case == "infinitely_many"
+                      for threshold in (10**3, 10**12))
+    assert (hashlib.sha256(reprs.encode()).hexdigest()
+            == "c31c1f10939c0c7661e8c5ee5c28f7cd64ae0afdf39f853ef34b4d25c3f1cdfe")
 
 
 SQUARES = ((1, 2, 1), (1, 4, 4), (2, 4, 2), (2, 8, 8), (3, 6, 3), (4, 8, 4))

@@ -25,7 +25,8 @@ medians further apart than the parent's Q1-Q3 spread, and no larger share
 of failed operations than the parent's.  It also records the
 seeds, each run's attempted and failed operation counts, a digest of each
 side's `src/` and the machine: CPU model, processor count, Python and
-numpy versions.  Standard library only; needs git and tar.
+numpy versions, and the bytecode mode measured beside the caller's
+PYTHONDONTWRITEBYTECODE.  Standard library only; needs git and tar.
 """
 
 from __future__ import annotations
@@ -106,8 +107,17 @@ def machine() -> dict:
         numpy_version = metadata.version("numpy")
     except metadata.PackageNotFoundError:
         numpy_version = None
+    # run_bench's bytecode mode, beside that of a fresh checkout run from the
+    # caller's environment
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        caller = ("cold: PYTHONDONTWRITEBYTECODE is set, so a fresh checkout compiles "
+                  "its sources in every process")
+    else:
+        caller = "warm after the first process: PYTHONDONTWRITEBYTECODE is unset"
     return {"cpu_model": cpu, "nproc": os.cpu_count(), "platform": platform.platform(),
-            "python": platform.python_version(), "numpy": numpy_version}
+            "python": platform.python_version(), "numpy": numpy_version,
+            "bytecode": {"measured": "warm: each side's own PYTHONPYCACHEPREFIX, "
+                                     "PYTHONDONTWRITEBYTECODE unset", "caller": caller}}
 
 
 def spread(values: list[float]) -> dict:
