@@ -75,6 +75,8 @@ def _resolve_globals(args: argparse.Namespace) -> None:
             if kind is int and (isinstance(value, bool) or isinstance(value, float)
                                 and not value.is_integer()):
                 raise TypeError  # int() would take true for 1 and truncate 100.9
+            if kind is str and not isinstance(value, str):
+                raise TypeError  # str() would make null the directory "None"
             config[key] = kind(value)
         except (TypeError, ValueError):
             raise InvalidInput(f"config key {key}: {value!r} is not {kind.__name__}") from None
@@ -394,10 +396,6 @@ def _cmd_palindromic(args) -> dict:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part != ""]
-
-
-def _coeff_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
@@ -416,103 +414,64 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(f"--{name}", type=type(default), choices=choices)
     parser.add_argument("--config", default=None, help="JSON config file (key = flag name)")
 
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("test", help="practicality verdict with certificate")
-    p.add_argument("n", type=int)
-    p.add_argument("--verify", action="store_true", help="cross-check with the oracle")
-    p.set_defaults(func=_cmd_test)
-
-    p = sub.add_parser("oracle", help="subset-sum oracle (definition-level test)")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("sieve", help="build or reuse a practical-number bitmap")
-    p.add_argument("--limit", type=int, default=10**6, help="default 10^6")
-    p.add_argument("--out", default=None, help="also write the bitmap here")
-    p.set_defaults(func=_cmd_sieve)
-
-    p = sub.add_parser("count", help="exact count of practical numbers <= x <= 10^12")
-    p.add_argument("x", type=int)
-    p.add_argument("--report", type=_int_list, default=None,
-                   help="comma-separated checkpoints for a density report")
-    p.set_defaults(func=_cmd_count)
-
-    ap_parser = sub.add_parser("ap", help="arithmetic progressions a*n + b")
-    ap_sub = ap_parser.add_subparsers(dest="ap_command", required=True)
-    p = ap_sub.add_parser("classify", help="infinitely many / exactly one / none")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.set_defaults(func=_cmd_ap_classify)
-    p = ap_sub.add_parser("stream", help="practical terms in scan order")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=_cmd_ap_stream)
-    p = ap_sub.add_parser("witness", help="construct a practical term >= threshold")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--min", type=int, required=True)
-    p.set_defaults(func=_cmd_ap_witness)
-
-    poly_parser = sub.add_parser("poly", help="integer polynomials")
-    poly_sub = poly_parser.add_subparsers(dest="poly_command", required=True)
-    p = poly_sub.add_parser("witness", help="smallest n with P(n) >= 1 not practical")
-    p.add_argument("coeffs", type=_coeff_list,
-                   help="comma-separated coefficients, constant term first")
-    p.set_defaults(func=_cmd_poly_witness)
-
-    quad_parser = sub.add_parser("quad", help="quadratics a*n^2 + b*n + c")
-    quad_sub = quad_parser.add_subparsers(dest="quad_command", required=True)
-    p = quad_sub.add_parser("mq", help="max power of p dividing some value (sup)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("p", type=int)
-    p.set_defaults(func=_cmd_quad_mq)
-    p = quad_sub.add_parser("classify", help="infinitely many practical values or not")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.set_defaults(func=_cmd_quad_classify)
-    p = quad_sub.add_parser("stream", help="smallest practical values")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=_cmd_quad_stream)
-    p = quad_sub.add_parser("witness", help="construct a practical value >= threshold")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("--min", type=int, required=True)
-    p.set_defaults(func=_cmd_quad_witness)
-
-    p = sub.add_parser("decompose", help="n = x^2 + practical for n = 1 mod 8")
-    p.add_argument("n", type=int)
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("family", help="members never equal to square + practical")
-    p.add_argument("j", type=int, help="residue class mod 8 (1 excluded)")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--verify", action="store_true",
-                   help="exhaustively verify each member")
-    p.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("goldbach", help="even n as a sum of two practical numbers")
-    p.add_argument("n", type=int)
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=_cmd_goldbach)
-
-    p = sub.add_parser("triples", help="m with m-2, m, m+2 all practical")
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(func=_cmd_triples)
-
-    p = sub.add_parser("palindromic", help="palindromic practical chain with certificates")
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=_cmd_palindromic)
-
+    # argument name -> add_argument keywords
+    kinds = {name: {"type": int} for name in ("n", "x", "a", "b", "c", "p", "j")}
+    kinds.update({f"--{name}": {"type": int, "required": True}
+                  for name in ("count", "min", "limit")})
+    kinds.update({
+        "--verify": {"action": "store_true"},
+        "--out": {"help": "also write the bitmap here"},
+        "--report": {"type": _int_list,
+                     "help": "comma-separated checkpoints for a density report"},
+        "coeffs": {"type": _int_list, "help": "comma-separated coefficients, constant term first"},
+    })
+    # Command words, help, handler, then each argument: a name, or a name and
+    # the keywords this command sets over its kind's.  A group has no handler;
+    # its commands follow it.  Built here, not at import, so that the handler
+    # a test patches in is the one that runs.
+    commands = (
+        ("test", "practicality verdict with certificate", _cmd_test,
+         "n", ("--verify", {"help": "cross-check with the oracle"})),
+        ("oracle", "subset-sum oracle (definition-level test)", _cmd_oracle, "n"),
+        ("sieve", "build or reuse a practical-number bitmap", _cmd_sieve,
+         ("--limit", {"required": False, "default": 10**6, "help": "default 10^6"}), "--out"),
+        ("count", "exact count of practical numbers <= x <= 10^12", _cmd_count, "x", "--report"),
+        ("ap", "arithmetic progressions a*n + b", None),
+        ("ap classify", "infinitely many / exactly one / none", _cmd_ap_classify, "a", "b"),
+        ("ap stream", "practical terms in scan order", _cmd_ap_stream, "a", "b", "--count"),
+        ("ap witness", "construct a practical term >= threshold", _cmd_ap_witness,
+         "a", "b", "--min"),
+        ("poly", "integer polynomials", None),
+        ("poly witness", "smallest n with P(n) >= 1 not practical", _cmd_poly_witness, "coeffs"),
+        ("quad", "quadratics a*n^2 + b*n + c", None),
+        ("quad mq", "max power of p dividing some value (sup)", _cmd_quad_mq,
+         "a", "b", "c", "p"),
+        ("quad classify", "infinitely many practical values or not", _cmd_quad_classify,
+         "a", "b", "c"),
+        ("quad stream", "smallest practical values", _cmd_quad_stream, "a", "b", "c", "--count"),
+        ("quad witness", "construct a practical value >= threshold", _cmd_quad_witness,
+         "a", "b", "c", "--min"),
+        ("decompose", "n = x^2 + practical for n = 1 mod 8", _cmd_decompose, "n", "--verify"),
+        ("family", "members never equal to square + practical", _cmd_family,
+         ("j", {"help": "residue class mod 8 (1 excluded)"}), "--count",
+         ("--verify", {"help": "exhaustively verify each member"})),
+        ("goldbach", "even n as a sum of two practical numbers", _cmd_goldbach, "n", "--verify"),
+        ("triples", "m with m-2, m, m+2 all practical", _cmd_triples, "--limit"),
+        ("palindromic", "palindromic practical chain with certificates", _cmd_palindromic,
+         "--count"),
+    )
+    # argparse names a group's dest when its subcommand is missing
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, text, handler, *arguments in commands:
+        group, _, word = words.rpartition(" ")
+        p = groups[group].add_parser(word, help=text)
+        for argument in arguments:
+            name, own = (argument, {}) if isinstance(argument, str) else argument
+            p.add_argument(name, **{**kinds[name], **own})
+        if handler is None:
+            groups[words] = p.add_subparsers(dest=f"{words}_command", required=True)
+        else:
+            p.set_defaults(func=handler)
     return parser
 
 

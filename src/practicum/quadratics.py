@@ -35,6 +35,7 @@ directly: the double root -b/2a is a p-adic integer iff v_p(2a) <= v_p(b).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, product
 
@@ -272,17 +273,19 @@ def quad_practical_stream(
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
     cls = classify_quadratic(q)
-    hits: set[int] = set()
+    values: list[int] = []  # the count smallest distinct hits so far, ascending
     turn = max(1, (-q.b) // (2 * q.a) + 1)  # q strictly increasing from here
     top = cls.verdict_n.prefix if cls.case == FINITELY_MANY else None
     for n in range(1, n_limit + 1):
         v = q(n)
         if v >= 1 and is_practical_quick(v):
-            hits.add(v)
-            top = sorted(hits)[count - 1] if len(hits) >= count else top
+            i = bisect_left(values, v)
+            if i < count and values[i:i + 1] != [v]:
+                values.insert(i, v)
+                del values[count:]
+                top = values[-1] if len(values) == count else top
         if top is not None and n >= turn and v > top:
             break
-    values = sorted(hits)[:count]
     if len(values) < count and cls.case == INFINITELY_MANY:
         raise BudgetExceeded(
             f"only {len(values)} practical values of {q} within n <= {n_limit}: "

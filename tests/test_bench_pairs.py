@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: quartiles, pair wins, the gain rule (failures included) and each
-side's bytecode."""
+"""tools/bench_pairs.py: quartiles, pair wins, the gain rule (failures included), unresolved
+spreads and each side's bytecode."""
 
 import importlib.util
 import json
@@ -54,6 +54,17 @@ def test_no_gain_when_a_larger_share_of_operations_failed():
     m = bench_pairs.summarize(runs("run_s", parent, failed=1), runs("run_s", change, failed=1),
                               LOWER)
     assert m["run_s"]["gain"]  # the same share of failures as the parent
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    parent = [3.0, 4.0, 5.0, 6.0, 7.0]  # IQR 2.0 against a bound of 0.25 * 5.0
+    m = bench_pairs.summarize(runs("run_s", parent), runs("run_s", [5.1] * 5), LOWER)["run_s"]
+    assert m["within_bound"] and not m["resolved"]
+    m = bench_pairs.summarize(runs("run_s", parent), runs("run_s", [2.9] * 5), LOWER)["run_s"]
+    assert m["resolved"]  # every change run beats every parent run
+    parent = [4.0, 4.2, 4.4, 4.1, 4.3]  # IQR 0.2 against 1.05
+    m = bench_pairs.summarize(runs("run_s", parent), runs("run_s", [5.5] * 5), LOWER)["run_s"]
+    assert m["resolved"] and not m["within_bound"]
 
 
 def test_direction_and_bound_follow_the_declared_metric():

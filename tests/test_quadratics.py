@@ -30,7 +30,7 @@ from practicum.quadratics import (
     _roots_mod_prime,
     _roots_mod_prime_power,
 )
-from helpers import mq_oracle
+from helpers import mq_oracle, time_limit
 
 
 def test_poly_validation():
@@ -325,6 +325,14 @@ def test_stream_handles_negative_vertex():
     # values dip before the vertex; smallest hits must still come out sorted
     q = QuadraticPoly(1, -8, 18)  # 11, 6, 3, 2, 3, 6, 11, 18, ...
     assert quad_practical_stream(q, 2) == [2, 6]
+
+
+def test_stream_keeps_only_its_count_smallest_hits():
+    # q(n) = 2 (n - 10^5)^2 falls over the whole scan: 38,452 practical values
+    # come before the smallest, q(99999) = 2.  Re-sorting all hits on each one
+    # took 214 s.
+    with time_limit(10):
+        assert quad_practical_stream(QuadraticPoly(2, -400000, 2 * 10**10), 1, 10**5) == [2]
 
 
 def test_stream_budget():

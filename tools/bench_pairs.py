@@ -19,10 +19,12 @@ benchmark.
 The output file holds, per workload and end-to-end metric, each side's
 runs, median and quartiles (inclusive method), the pairs the working tree
 won and tied, the change of the medians, whether that change stays within
-the metric's bound in BENCHMARK.json, and whether it is a gain by the
-benchmark's rule: better in at least nine tenths of the pairs, with the
-medians further apart than the parent's Q1-Q3 spread, and no larger share
-of failed operations than the parent's.  It also records the
+the metric's bound in BENCHMARK.json, whether it is resolved (the
+parent's Q1-Q3 spread is within that bound, or every run of the working
+tree beats every parent run), and whether it is a gain by the benchmark's
+rule: better in at least nine tenths of the pairs, with the medians
+further apart than the parent's Q1-Q3 spread, and no larger share of
+failed operations than the parent's.  It also records the
 seeds, each run's attempted and failed operation counts, a digest of each
 side's `src/` and the machine: CPU model, processor count, Python and
 numpy versions, and the bytecode mode measured beside the caller's
@@ -145,13 +147,17 @@ def summarize(parent: list[dict], change: list[dict], declared: list[dict]) -> d
         ties = sum(a == b for a, b in zip(p, c))
         ps, cs = spread(p), spread(c)
         diff = cs["median"] - ps["median"]
+        parent_iqr, allowed = ps["q3"] - ps["q1"], spec["bound"] * abs(ps["median"])
         out[name] = {
             "unit": spec["unit"], "better": spec["better"], "parent": ps, "change": cs,
             "change_won_pairs": wins, "tied_pairs": ties, "pairs": len(p),
             "median_change": diff / ps["median"] if ps["median"] else None,
-            "within_bound": sign * diff <= spec["bound"] * abs(ps["median"]),
+            "within_bound": sign * diff <= allowed,
+            # a spread wider than the bound hides a regression of that size,
+            # unless every change run reads better than every parent run
+            "resolved": parent_iqr <= allowed or all(sign * (b - a) < 0 for a in p for b in c),
             "gain": (wins >= 0.9 * len(p) and sign * diff < 0
-                     and abs(diff) > ps["q3"] - ps["q1"] and not fails_more),
+                     and abs(diff) > parent_iqr and not fails_more),
         }
     return out
 
