@@ -205,31 +205,34 @@ class MultiplierCertificate:
         """verify(), computed once per instance: the fields are frozen, so
         the answer cannot change, and a certificate derived from this one
         (dataclasses.replace, a new link) starts with no answer."""
-        return self._check()
+        return self._check() is None
 
     def verify(self) -> bool:
-        """The multiplier is within the recorded bound, the bound is the one
-        its kind names, and the base evidence proves the base practical,
-        down to the structure test at the bottom of the chain."""
+        """The base evidence proves the base practical, down to the structure
+        test at the bottom of the chain, the bound is the one its kind names,
+        and the multiplier is within it."""
         return self.practical
 
-    def _check(self) -> bool:
+    def _check(self) -> str | None:
+        """The first claim that fails, or None when every claim holds."""
         ev = self.base_evidence
         if isinstance(ev, MultiplierCertificate):
             if ev.value != self.base or not ev.verify():
-                return False
+                return "base evidence certificate does not verify"
+        elif ev.n != self.base or not ev.practical or not ev.replay():
+            return f"base evidence verdict does not prove {self.base} practical"
+        if self.bound_kind == "doubling":
+            expected = 2 * self.base - 1
+        elif self.bound_kind == "sigma" and isinstance(ev, PracticalityVerdict):
+            expected = ev.sigma + 1
         else:
-            if ev.n != self.base or not ev.practical or not ev.replay():
-                return False
-        if self.bound_kind == "sigma":
-            if not isinstance(ev, PracticalityVerdict) or self.bound != ev.sigma + 1:
-                return False
-        elif self.bound_kind == "doubling":
-            if self.bound != 2 * self.base - 1:
-                return False
-        else:
-            return False
-        return 1 <= self.multiplier <= self.bound
+            return f"bound kind {self.bound_kind!r} does not apply to its base evidence"
+        if self.bound != expected:
+            return f"bound {self.bound} is not the {self.bound_kind} bound {expected}"
+        if not 1 <= self.multiplier <= self.bound:
+            return (f"multiplier {self.multiplier} exceeds provable bound {self.bound}"
+                    f" for base {self.base}")
+        return None
 
 
 def certify_product(
@@ -240,33 +243,16 @@ def certify_product(
     A verdict records sigma(base), so its certificate takes the exact bound
     sigma(base) + 1; a certificate chain records no sigma and takes the
     factorization-free bound 2*base - 1, which doubling=True forces for a
-    verdict too.  Raises InvalidInput when the multiplier exceeds the
-    bound.
+    verdict too.  The certificate is returned only if it verifies; else
+    InvalidInput names the first claim that fails.
     """
-    if isinstance(base_evidence, MultiplierCertificate):
-        if not base_evidence.verify():
-            raise InvalidInput("base evidence certificate does not verify")
-        base = base_evidence.value
-        doubling = True
+    chained = isinstance(base_evidence, MultiplierCertificate)
+    base = base_evidence.value if chained else base_evidence.n
+    if chained or doubling:
+        kind, bound = "doubling", 2 * base - 1
     else:
-        if not base_evidence.practical:
-            raise InvalidInput(f"base {base_evidence.n} is not practical")
-        base = base_evidence.n
-
-    if doubling:
-        bound = 2 * base - 1
-        kind = "doubling"
-    else:
-        bound = base_evidence.sigma + 1
-        kind = "sigma"
-    if not 1 <= multiplier <= bound:
-        raise InvalidInput(
-            f"multiplier {multiplier} exceeds provable bound {bound} for base {base}"
-        )
-    return MultiplierCertificate(
-        base=base,
-        multiplier=multiplier,
-        bound=bound,
-        bound_kind=kind,
-        base_evidence=base_evidence,
-    )
+        kind, bound = "sigma", base_evidence.sigma + 1
+    cert = MultiplierCertificate(base, multiplier, bound, kind, base_evidence)
+    if not cert.verify():
+        raise InvalidInput(cert._check())
+    return cert

@@ -183,8 +183,8 @@ def nonpractical_witness(
     coeffs are ascending (constant term first).  The polynomial must be
     non-constant with positive leading coefficient; a witness always
     exists, so a scan that ends without one raises BudgetExceeded and
-    means n_limit was too small.  n_limit above _POLY_BOUND_CAP is refused
-    with InvalidInput.
+    means n_limit was too small; at _POLY_BOUND_CAP its message names the
+    cap.  n_limit above _POLY_BOUND_CAP is refused with InvalidInput.
     """
     trimmed = list(coeffs)
     while trimmed and trimmed[-1] == 0:
@@ -199,6 +199,5 @@ def nonpractical_witness(
         v = _poly_eval(trimmed, n)
         if v >= 1 and not is_practical_quick(v):
             return PolyWitness(n=n, value=v, verdict=is_practical(v))
-    raise BudgetExceeded(
-        f"no non-practical value with n <= {n_limit}: raise --scan-bound (n_limit)"
-    )
+    knob = "progressions._POLY_BOUND_CAP" if n_limit == _POLY_BOUND_CAP else "--scan-bound (n_limit)"
+    raise BudgetExceeded(f"no non-practical value with n <= {n_limit}: raise {knob}")

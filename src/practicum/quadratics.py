@@ -217,13 +217,16 @@ def _mq_primitive(q: QuadraticPoly, p: int):
 
 
 def mq(q: QuadraticPoly, p: int) -> MqResult:
-    """m_q(p) with its justifying witness.
-
-    Content splits off exactly: m_q(p) = v_p(gcd(a,b,c)) + m for the
-    primitive part's m, and infinity is unaffected.
-    """
+    """m_q(p) with its justifying witness, for a prime p."""
     if not _is_prime(p):
         raise InvalidInput(f"p must be prime, got {p}")
+    return _mq(q, p)
+
+
+def _mq(q: QuadraticPoly, p: int) -> MqResult:
+    """mq for a p already known to be prime.  Content splits off exactly:
+    m_q(p) = v_p(gcd(a,b,c)) + m for the primitive part's m, and infinity
+    is unaffected."""
     g = q.content
     v = valuation(g, p) if g > 1 else 0
     exponent, witness = _mq_primitive(q.primitive(), p)
@@ -238,7 +241,7 @@ def _classify(q: QuadraticPoly, primes) -> QuadClassification:
     leaving the stream just past p_r.  Each prime costs a unit of work."""
     walk: list[MqResult] = []
     while not walk or not walk[-1].infinite:
-        walk.append(mq(q, next(primes)))
+        walk.append(_mq(q, next(primes)))  # prime_stream proves each prime
     p_r = walk[-1].p
     factors = [(res.p, res.exponent) for res in walk[:-1] if res.exponent]
     verdict = practical_from_factorization(Factorization((*factors, (p_r, 1))))

@@ -42,7 +42,7 @@ MAGIC = b"PRAC"
 VERSION = 1
 _HEADER = struct.Struct("<4sIQ")
 
-DEFAULT_MEMORY_BUDGET = 1 << 31  # bytes for a walk, and for the fill's bitmap too
+DEFAULT_MEMORY_BUDGET = 1 << 31  # bytes for a walk, and for a fill with its walk
 _BLOCK = 1 << 15  # the most nodes in one block of the walk
 
 
@@ -267,7 +267,6 @@ def _check_memory(what: str, need: int) -> None:
     if need > DEFAULT_MEMORY_BUDGET:
         raise BudgetExceeded(
             f"{what} needs {need} bytes, over sieve.DEFAULT_MEMORY_BUDGET = {DEFAULT_MEMORY_BUDGET}"
-            f" (the largest sieve --limit it fits is {DEFAULT_MEMORY_BUDGET - 1})"
         )
 
 
@@ -276,7 +275,8 @@ def sieve_practicals(limit: int) -> PracticalBitmap:
     scatter for its nodes and one per 1024 nodes for their leaves."""
     if limit < 1:
         raise InvalidInput(f"sieve limit must be >= 1, got {limit}")
-    _check_memory(f"bitmap for limit {limit}", limit + 1)
+    packed = (limit + 8) // 8  # held twice: the packed array and its bytes copy
+    _check_memory(f"bitmap for limit {limit}", limit + 1 + 2 * packed + _walk_bytes(limit))
     import numpy as np
 
     flags = np.zeros(limit + 1, dtype=bool)

@@ -128,6 +128,16 @@ def test_goldbach_and_triples(capsys, tmp_path, monkeypatch):
     assert data["triples"] == [4, 6, 18]
 
 
+def test_goldbach_verify_checks_parts_past_the_oracle_bound(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path))
+    data = run_json(capsys, "--oracle-bound", "10", "goldbach", "1000", "--verify")
+    assert data == {"n": 1000, "pair": [8, 992], "verified": True}
+    # 22 = 2 * 11 and 978 = 2 * 3 * 163 are past the bound and not practical
+    monkeypatch.setattr(representations, "goldbach_pair", lambda n, bitmap: (22, 978))
+    code, out, err = run_cli(capsys, "--oracle-bound", "10", "goldbach", "1000", "--verify")
+    assert (code, out) == (1, "") and "FALSIFICATION:" in err
+
+
 def test_goldbach_rejects_odd_n_before_touching_cache(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(cache))
@@ -298,11 +308,11 @@ def test_count_beyond_the_bitmap_memory_budget(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PRACTICUM_CACHE_DIR", str(tmp_path))
     assert run_json(capsys, "count", "2200000000")["count"] == 137323446
     assert list(tmp_path.iterdir()) == []
-    # the bitmap's own limit is unchanged: 2^31 - 1 fits 2^31 bytes, 2^31 does not
+    # a fill to 2^31 holds its flags, the packed bits twice and the walk: 2.71 GB
     code, out, err = run_cli(capsys, "sieve", "--limit", str(2**31))
     assert (code, out) == (2, "")
-    assert f"needs {2**31 + 1} bytes, over sieve.DEFAULT_MEMORY_BUDGET = {2**31}" in err
-    assert f"the largest sieve --limit it fits is {2**31 - 1}" in err
+    message = f"needs 2712272950 bytes, over sieve.DEFAULT_MEMORY_BUDGET = {2**31}"
+    assert err.rstrip().endswith(message)
 
 
 def test_count_caps_x_and_every_checkpoint(capsys, tmp_path, monkeypatch):

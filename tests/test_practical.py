@@ -1,6 +1,9 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from practicum import (
     BudgetExceeded,
@@ -15,7 +18,7 @@ from practicum import (
     sieve_practicals,
 )
 from practicum.arith import _TRIAL_BOUND, _is_prime
-from practicum.practical import MultiplierCertificate, StewartWitness
+from practicum.practical import MultiplierCertificate, PracticalityVerdict, StewartWitness
 from helpers import time_limit
 
 
@@ -232,6 +235,12 @@ def test_certify_product_rejects_non_practical_base():
         certify_product(forged, 2)
 
 
+def test_certify_product_replays_a_verdict_base():
+    # a positive verdict whose chain does not reach n does not replay
+    with pytest.raises(InvalidInput, match="does not prove 22 practical"):
+        certify_product(PracticalityVerdict(22, True, ((2, 1, 3),)), 1)
+
+
 def test_certificate_chains_and_tampering():
     c1 = certify_product(is_practical(88), 101, doubling=True)
     c2 = certify_product(c1, 10001, doubling=True)
@@ -269,3 +278,35 @@ def test_certificate_chains_and_tampering():
         base_evidence=c1,
     )
     assert not unknown_kind.verify()
+
+
+_PRACTICALS = sieve_practicals(10**4).members().tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_certify_product_returns_only_certificates_that_verify(data):
+    verdict = is_practical(data.draw(st.sampled_from(_PRACTICALS)))
+    doubling = data.draw(st.booleans())
+    bound = 2 * verdict.n - 1 if doubling else verdict.sigma + 1
+    multiplier = data.draw(st.integers(-2, 2 * bound))
+    field = data.draw(st.sampled_from(["none", "n", "practical", "chain"]))
+    forged = verdict
+    if field == "n":
+        n = data.draw(st.integers(1, 2 * 10**4).filter(lambda m: m != verdict.n))
+        forged = dataclasses.replace(verdict, n=n)
+    elif field == "practical":
+        forged = dataclasses.replace(verdict, practical=False)
+    elif field == "chain" and verdict.chain:
+        chain = [list(entry) for entry in verdict.chain]
+        i = data.draw(st.integers(0, len(chain) - 1))
+        j = data.draw(st.integers(0, 2))
+        chain[i][j] = data.draw(st.integers(-1, 200).filter(lambda v: v != chain[i][j]))
+        forged = dataclasses.replace(verdict, chain=tuple(map(tuple, chain)))
+    try:
+        cert = certify_product(forged, multiplier, doubling)
+    except InvalidInput:
+        assert forged is not verdict or not 1 <= multiplier <= bound
+        return
+    assert forged.replay()  # a verdict that does not replay is never certified
+    assert cert.verify() and cert.value == forged.n * multiplier

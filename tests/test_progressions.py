@@ -204,6 +204,15 @@ def test_nonpractical_witness_errors():
         nonpractical_witness([0, -2])
 
 
+def test_an_exhausted_scan_at_the_cap_names_the_cap(monkeypatch):
+    # the flag cannot go past the cap, so the message must not ask for it
+    monkeypatch.setattr(progressions, "_POLY_BOUND_CAP", 4)
+    with pytest.raises(BudgetExceeded) as exc:
+        nonpractical_witness([0, 6], 4)  # 6, 12, 18, 24 all practical
+    assert "_POLY_BOUND_CAP" in str(exc.value)
+    assert "raise --scan-bound" not in str(exc.value)
+
+
 def test_trichotomy_scan_consistency_sample():
     # desk-scale soundness on a small sample; the acceptance suite covers
     # the full 30 x 30 grid

@@ -129,6 +129,18 @@ def test_mq_rejects_composite_p():
             mq(q, p)
 
 
+def test_classify_tests_no_walked_prime_twice(monkeypatch):
+    # prime_stream proves each prime it yields; the walk does not test it again
+    calls = []
+    is_prime = quadratics._is_prime
+    monkeypatch.setattr(quadratics, "_is_prime", lambda p: calls.append(p) or is_prime(p))
+    cls = classify_quadratic(QuadraticPoly(1, 0, 1))
+    assert cls.r >= 2 and calls == []
+    with pytest.raises(InvalidInput):
+        mq(QuadraticPoly(1, 0, 1), 4)
+    assert calls == [4]
+
+
 def _exhaustive_roots(a, b, c, modulus):
     ns = np.arange(modulus, dtype=np.int64)
     return np.nonzero((a * ns * ns + b * ns + c) % modulus == 0)[0].tolist()

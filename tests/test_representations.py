@@ -301,7 +301,7 @@ def test_chain_checks_each_link_once(monkeypatch):
     monkeypatch.setattr(MultiplierCertificate, "_check", counting)
     entries = palindromic_practicals(19)
     links = [id(e.evidence) for e in entries[1:]]
-    assert checked == links[:-1]  # building checks each base once, in order
+    assert checked == links  # building checks each link once, in order, the last included
     assert all(e.evidence.verify() for e in entries[1:])
     assert all(e.evidence.practical for e in entries[1:])
     assert checked == links

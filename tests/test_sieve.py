@@ -206,17 +206,23 @@ def test_walk_memory_stays_within_its_budget(monkeypatch):
     assert count_practicals(10**4, bitmap) == 1456  # a covering bitmap needs no walk
 
 
+def test_fill_memory_stays_within_its_budget():
+    for x in (10**4, 10**6, 10**7):
+        # the bool array, its packed bits, their bytes copy and the walk
+        need = x + 1 + 2 * ((x + 8) // 8) + sieve._walk_bytes(x)
+        assert _traced_peak(lambda: sieve_practicals(x)) <= need, x
+
+
 def test_budget_errors_name_their_knob(monkeypatch):
     need = sieve._walk_bytes(10**6)
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", need - 1)
-    knob = re.escape(f"over sieve.DEFAULT_MEMORY_BUDGET = {need - 1} ")
-    with pytest.raises(BudgetExceeded, match=f"needs {need} bytes, {knob}"):
+    knob = re.escape(f"over sieve.DEFAULT_MEMORY_BUDGET = {need - 1}")
+    with pytest.raises(BudgetExceeded, match=f"needs {need} bytes, {knob}$"):
         count_practicals(10**6)
     with pytest.raises(BudgetExceeded, match=r"sieve\.DEFAULT_MEMORY_BUDGET"):
         density_report([10, 10**6])
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", 1000)
-    message = ("needs 1000001 bytes, over sieve.DEFAULT_MEMORY_BUDGET = 1000"
-               " (the largest sieve --limit it fits is 999)")
+    message = "needs 19123922 bytes, over sieve.DEFAULT_MEMORY_BUDGET = 1000"
     with pytest.raises(BudgetExceeded, match=re.escape(message) + "$"):
         sieve_practicals(10**6)
 
@@ -270,11 +276,12 @@ def test_memory_budget(monkeypatch):
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", 1000)
     with pytest.raises(BudgetExceeded, match="DEFAULT_MEMORY_BUDGET"):
         sieve_practicals(10**6)
-    limit = 5000  # the fill holds limit + 1 bytes of flags
-    monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", limit)
+    limit = 5000  # the fill holds its flags, the packed bits twice and the walk
+    need = limit + 1 + 2 * 626 + sieve._walk_bytes(limit)
+    monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", need - 1)
     with pytest.raises(BudgetExceeded, match="DEFAULT_MEMORY_BUDGET"):
         sieve_practicals(limit)
-    monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", limit + 1)
+    monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", need)
     assert sieve_practicals(limit).count() == len([n for n in range(1, limit + 1) if is_practical(n).practical])
 
 
