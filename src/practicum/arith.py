@@ -3,12 +3,13 @@
 Factorization (a trial stage that yields prime powers in increasing order
 up to _TRIAL_BOUND, then Pollard-Brent, under a work limit that
 factor_budget sets for a scope), divisor sums, p-adic valuations, a CRT
-solver that accepts non-coprime moduli and the two ways primes are
-produced: prime_stream walks 2, 3, 4, ... through the primality test
-_is_prime (Miller-Rabin, proven below psi_13 ~ 3.3 * 10^24, Baillie-PSW
-above) under the same work limit, and primes_upto sieves a numpy prime
-table.  Everything here works on arbitrary-precision ints; only the prime
-table is restricted to machine-word sizes.
+solver that accepts non-coprime moduli and the one way primes are
+produced: the pure-Python sieve _sieve, whose windows prime_stream walks
+under the same work limit and whose one window to a bound gives primes_upto
+a numpy prime table.  _is_prime (Miller-Rabin, proven below psi_13 ~ 3.3 *
+10^24, Baillie-PSW above) tests cofactors and primes given as input.
+Everything here works on arbitrary-precision ints; only the prime table is
+machine-word sized.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import compress
 from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
 from .errors import BudgetExceeded, InvalidInput
@@ -42,6 +43,7 @@ _PSI_13 = 3317044064679887385961981
 # crosses every layer between a command and the factorizations and prime
 # walks it causes, none of which owns it, so factor_budget sets it for a scope.
 _TRIAL_BOUND = 1 << 16
+_STREAM_WINDOW = 1 << 15  # widest window of primes a prime_stream sieves at once
 DEFAULT_WORK_LIMIT = 1 << 23
 _work_limit: ContextVar[int] = ContextVar("factor_budget", default=DEFAULT_WORK_LIMIT)
 
@@ -388,28 +390,41 @@ def crt_solve(system: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return r, m
 
 
-def prime_stream() -> Iterator[int]:
-    """2, 3, 5, 7, ...: the integers from 2 that pass _is_prime, at one unit
-    per prime of the work limit in force when the stream starts.
+def _sieve(lo: int, hi: int) -> bytearray:
+    """Eratosthenes on the window [lo, hi), 2 <= lo: byte n - lo is 1
+    exactly when n is prime.  The sieving primes up to isqrt(hi - 1) come
+    from the same sieve, and each strikes its multiples from its square."""
+    flags = bytearray([1]) * (hi - lo)
+    if hi > 4:  # 2 <= isqrt(hi - 1): there are primes to sieve with
+        root = math.isqrt(hi - 1)
+        for p in compress(range(2, root + 1), _sieve(2, root + 1)):
+            start = max(p * p - lo, -lo % p)  # offset of max(p^2, the first multiple >= lo)
+            flags[start::p] = bytes(len(range(start, hi - lo, p)))
+    return flags
 
-    The primes never run out; the units do, and the prime after the last
-    one raises BudgetExceeded.  A walk for a prime that provably exists
-    (see quadratics) thus ends at it or at the limit, never earlier.
+
+def prime_stream() -> Iterator[int]:
+    """2, 3, 5, 7, ...: the primes _sieve proves, window by window, at one
+    unit per prime of the work limit in force when the stream starts.
+
+    Its windows [2, 4), [4, 8), ... double up to _STREAM_WINDOW wide.  The
+    primes never run out; the units do, and the prime after the last one
+    raises BudgetExceeded.  A walk for a prime that provably exists (see
+    quadratics) thus ends at it or at the limit, never earlier.
     """
-    limit = _work_limit.get()
-    yield from islice(filter(_is_prime, count(2)), limit)
-    raise _out_of_work(f"walking primes past the first {limit}")
+    limit = left = _work_limit.get()
+    lo = 2
+    while True:
+        hi = lo + min(lo, _STREAM_WINDOW)
+        primes = list(compress(range(lo, hi), _sieve(lo, hi)))
+        yield from primes[:left]
+        if len(primes) > left:
+            raise _out_of_work(f"walking primes past the first {limit}")
+        left, lo = left - len(primes), hi
 
 
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (classic boolean sieve)."""
+    """All primes <= limit as an int64 array, from one _sieve window."""
     import numpy as np
 
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    return np.frombuffer(_sieve(2, limit + 1), bool).nonzero()[0] + 2

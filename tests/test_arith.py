@@ -1,8 +1,14 @@
+import functools
 import math
 import random
+from bisect import bisect_right
+from itertools import islice
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from practicum import arith
 from practicum import (
@@ -18,7 +24,7 @@ from practicum import (
     sigma_prime_power,
     valuation,
 )
-from helpers import is_prime_trial
+from helpers import is_prime_trial, time_limit
 
 
 def test_factorize_examples():
@@ -162,13 +168,24 @@ def test_crt_rejects_bad_inputs():
         crt_solve([(5, 3)])
 
 
+@functools.cache
+def _primes_by_is_prime() -> tuple[int, ...]:
+    """The primes below 2^17 + 2, by _is_prime, which shares no code with
+    the sieve behind prime_stream and primes_upto."""
+    return tuple(n for n in range((1 << 17) + 2) if arith._is_prime(n))
+
+
 def test_prime_stream():
     it = prime_stream()
     first = [next(it) for _ in range(25)]
     assert first[:3] == [2, 3, 5]
     assert first[3] == 7
     assert first[24] == 97
-    assert first == primes_upto(97).tolist()
+    # below 2^17: every doubling window [2, 4) ... [2^14, 2^15) and the
+    # first three windows of full width 2^15
+    expected = [p for p in _primes_by_is_prime() if p < 1 << 17]
+    assert first + list(islice(it, len(expected) - 25)) == expected
+    assert next(it) == 131101  # the first prime past 2^17
 
 
 def test_prime_stream_charges_a_unit_per_prime():
@@ -179,13 +196,30 @@ def test_prime_stream_charges_a_unit_per_prime():
             next(it)
 
 
-def test_primes_upto_matches_stream():
-    it = prime_stream()
-    expected = []
-    while len(expected) < 1229:
-        expected.append(next(it))
-    assert primes_upto(10**4).tolist() == expected
-    assert expected == [n for n in range(2, 10**4) if is_prime_trial(n)]
+def test_walking_2_18_primes_takes_seconds_not_minutes():
+    with time_limit(3):  # Miller-Rabin on every integer took about 8.6 s
+        assert list(islice(prime_stream(), 2**18))[-1] == 3681131
+
+
+def test_primes_upto_matches_is_prime():
+    primes = _primes_by_is_prime()
+    limits = {0, 1, 2, 3}
+    limits.update(p * p + d for p in primes if p <= 60 for d in (-1, 0, 1))
+    limits.update((1 << k) + d for k in range(18) for d in (-1, 1))
+    for limit in sorted(limits):
+        got = primes_upto(limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == list(primes[:bisect_right(primes, limit)]), limit
+    assert primes[:1229] == tuple(n for n in range(2, 10**4) if is_prime_trial(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sieve_window_matches_is_prime(data):
+    lo = data.draw(st.integers(2, 10**5 - 1), label="lo")
+    hi = data.draw(st.integers(lo + 1, 10**5), label="hi")
+    primes = set(_primes_by_is_prime())
+    assert arith._sieve(lo, hi) == bytes(n in primes for n in range(lo, hi))
 
 
 PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Every public name of `practicum`: those it had when it still imported its
@@ -102,18 +104,23 @@ def test_star_import_binds_every_export():
     assert json.loads(out) == []
 
 
-def test_test_command_loads_only_its_own_modules():
+@pytest.mark.parametrize("argv, used, unused", [
+    (["test", "88"], ("arith", "practical"),
+     ("progressions", "quadratics", "representations", "sieve")),
+    # the prime walk sieves its primes in pure Python
+    (["quad", "classify", "1", "0", "-7"], ("arith", "practical", "quadratics"),
+     ("progressions", "representations", "sieve")),
+], ids=["test", "quad-classify"])
+def test_test_command_loads_only_its_own_modules(argv, used, unused):
     out = run_child(
         "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
         "import practicum.cli\n"
         "with redirect_stdout(io.StringIO()):\n"
-        "    code = practicum.cli.main(['test', '88'])\n"
+        f"    code = practicum.cli.main({argv!r})\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
     code, loaded = json.loads(out)
     assert code == 0
-    unused = {"numpy", *(f"practicum.{m}" for m in
-                         ("progressions", "quadratics", "representations", "sieve"))}
-    assert unused.isdisjoint(loaded)
-    assert {"practicum.arith", "practicum.practical"} <= set(loaded)
+    assert {"numpy", *(f"practicum.{m}" for m in unused)}.isdisjoint(loaded)
+    assert {f"practicum.{m}" for m in used} <= set(loaded)
