@@ -36,12 +36,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
 
-# Trial division stops at the first wheel candidate above _TRIAL_BOUND.  A
-# factorization may charge work_limit units: one per wheel candidate passed,
-# divided into n or cleared with its block by one gcd, and one per rho step.
-# A prime_stream charges its own work_limit units, one per prime.  The limit
-# crosses every layer between a command and the factorizations and prime
-# walks it causes, none of which owns it, so factor_budget sets it for a scope.
+# Trial division stops at the first prime above _TRIAL_BOUND.  A factorization
+# may charge work_limit units: one per prime passed, divided into n or cleared
+# with its block by one gcd, and one per rho step.  A prime_stream charges its
+# own work_limit units, one per prime too.  The limit crosses every layer
+# between a command and the factorizations and prime walks it causes, none of
+# which owns it, so factor_budget sets it for a scope.
 _TRIAL_BOUND = 1 << 16
 _STREAM_WINDOW = 1 << 15  # widest window of primes a prime_stream sieves at once
 DEFAULT_WORK_LIMIT = 1 << 23
@@ -197,48 +197,54 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-# Trial division runs over the integers >= 7 coprime to 30, the candidate with
-# index j being 30 * (j // 8) + _WHEEL[j % 8].  Blocks of _BLOCK consecutive
-# candidates are tested by one gcd with their product, kept once made: the
-# candidates up to _TRIAL_BOUND fill 69 blocks.
-_WHEEL = (7, 11, 13, 17, 19, 23, 29, 31)
+# Trial division runs over _trial_primes, the primes 2, 3, 5, ... from _sieve.
+# The table grows a block of _BLOCK primes at a time, as far as a walk
+# reaches, and each block is tested by one gcd with its product, kept once
+# made: the primes up to _TRIAL_BOUND fill 26 blocks.
 _BLOCK = 256
-_WALK = 16  # candidates tried one by one before a gcd clears the rest of a block
+_WALK = 16  # primes tried one by one before a gcd clears the rest of a block
+_trial_primes: tuple[int, ...] = ()  # whole blocks; replaced by a longer tuple, never changed
 _block_products: dict[int, int] = {}
 
 
-def _candidates_upto(x: int) -> int:
-    """Number of wheel candidates <= x."""
-    q, r = divmod(x - 1, 30)
-    return max(0, 8 * q + bisect_right(_WHEEL, r + 1))
+def _grow_trial_primes() -> tuple[int, ...]:
+    """_trial_primes and the next _BLOCK primes, made the new _trial_primes."""
+    global _trial_primes
+    primes, new = _trial_primes, []
+    lo = primes[-1] + 1 if primes else 2
+    while len(new) < _BLOCK:
+        hi = lo + _BLOCK * max(lo.bit_length(), 7)  # about 1.1 to 1.5 times _BLOCK primes
+        new += compress(range(lo, hi), _sieve(lo, hi))
+        lo = hi
+    _trial_primes = primes = primes + tuple(new[:_BLOCK])
+    return primes
 
 
 def _block_product(b: int) -> int:
-    """Product of the wheel candidates of block b."""
+    """Product of the primes of block b, which _trial_primes covers."""
     product = _block_products.get(b)
     if product is None:
-        span = 30 * (_BLOCK // 8)
-        product = _block_products[b] = math.prod(
-            math.prod(range(span * b + w, span * (b + 1) + w, 30)) for w in _WHEEL)
+        product = _block_products[b] = math.prod(_trial_primes[b * _BLOCK:(b + 1) * _BLOCK])
     return product
 
 
 class _WorkMeter:
-    __slots__ = ("left",)
+    __slots__ = ("limit", "used")
 
-    def __init__(self, limit: int):
-        self.left = limit
+    def __init__(self, limit: int, used: int):
+        self.limit, self.used = limit, used
 
     def charge(self, amount: int, n: int) -> None:
-        self.left -= amount
-        if self.left < 0:
-            raise _out_of_work(f"factoring {n}")
+        self.used += amount
+        if self.used > self.limit:
+            raise _out_of_work(f"factoring {n}", self.limit, self.used)
 
 
-def _out_of_work(task: str) -> BudgetExceeded:
+def _out_of_work(task: str, limit: int, used: int) -> BudgetExceeded:
     return BudgetExceeded(
         f"factorization work limit exhausted while {task}: "
-        "raise --factor-work (factor_budget's work_limit)"
+        "raise --factor-work (factor_budget's work_limit)",
+        knob="--factor-work", limit=limit, used=used,
     )
 
 
@@ -278,31 +284,23 @@ def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
 def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], int | None, None]:
     """The prime powers (p, e) of n >= 1 in increasing p, under the work limit in force.
 
-    2, 3 and 5, then the wheel candidates up to min(isqrt(n), _TRIAL_BOUND):
-    _WALK of them one by one, the rest of their block by one gcd, and a
-    block the gcd flags one by one; then Miller-Rabin and Pollard-Brent on
-    what is left.  A caller walking Stewart's chain sends its bound
-    sigma(prefix) + 1 after each step (cap is the first; next() keeps it).
-    Once the next untried candidate d passes the bound while the cofactor
-    is not 1, (d, 0) stands for the primes left, which all exceed it.
+    The primes of _trial_primes up to min(isqrt(n), _TRIAL_BOUND): _WALK of
+    them one by one, the rest of their block by one gcd, and a block the gcd
+    flags one by one; then Miller-Rabin and Pollard-Brent on what is left.
+    A caller walking Stewart's chain sends its bound sigma(prefix) + 1 after
+    each step (cap is the first; next() keeps it).  Once the next untried
+    prime d passes the bound while the cofactor is not 1, (d, 0) stands for
+    the primes left, which all exceed it.
     """
-    for p in (2, 3, 5):
-        if p > cap:
-            if n > 1:
-                yield p, 0
-            return
-        if n % p == 0:
-            n //= p
-            e = 1
-            while n % p == 0:
-                n //= p
-                e += 1
-            cap = (yield p, e) or cap
-    trial_bound, work_limit = _TRIAL_BOUND, _work_limit.get()
-    j = 0  # index of the next wheel candidate 7, 11, 13, ..., and the work charged so far
-    walk_end = min(_WALK, work_limit)  # where the work runs out or a gcd tests the rest of a block
+    primes, trial_bound, work_limit = _trial_primes, _TRIAL_BOUND, _work_limit.get()
+    j = 0  # index of the next prime to try, and the work charged so far
+    walk_end = _WALK if _WALK < work_limit else work_limit  # where work ends or a gcd tests a block
     while True:
-        d = 30 * (j >> 3) + _WHEEL[j & 7]
+        try:
+            d = primes[j]
+        except IndexError:  # the walk reached the end of the table
+            primes = _grow_trial_primes()
+            d = primes[j]
         if d * d > n or d > cap:  # n is 1 or prime, or its primes all pass the bound
             if n > 1:
                 yield (n, 1) if d * d > n else (d, 0)
@@ -310,11 +308,11 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
         if d > trial_bound:
             break
         if j == walk_end:
-            if j == work_limit:  # candidate j would cost one unit more than the limit
-                raise _out_of_work(f"factoring {n}")
+            if j == work_limit:  # prime j would cost one unit more than the limit
+                raise _out_of_work(f"factoring {n}", work_limit, j + 1)
             block_end = (j // _BLOCK + 1) * _BLOCK
             if math.gcd(n, _block_product(j // _BLOCK)) == 1:  # none left in the block divides n
-                stop = _candidates_upto(min(math.isqrt(n), trial_bound, cap))
+                stop = bisect_right(primes, min(math.isqrt(n), trial_bound, cap))
                 j = walk_end = min(stop, block_end, work_limit)
                 continue
             walk_end = min(block_end, work_limit)  # walk the rest of the block
@@ -326,9 +324,9 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
                 n //= d
                 e += 1
             cap = (yield d, e) or cap
-            walk_end = min(j + _WALK, work_limit)
+            walk_end = j + _WALK if j + _WALK < work_limit else work_limit
 
-    meter = _WorkMeter(work_limit - j)
+    meter = _WorkMeter(work_limit, j)
     rng = None
     factors: dict[int, int] = {}
     stack = [n]
@@ -350,9 +348,9 @@ def factorize(n: int) -> Factorization:
 
     The limit is the one set by the innermost enclosing factor_budget
     block, else DEFAULT_WORK_LIMIT.  The prime powers come from
-    _prime_powers: trial division by 2, 3, 5 and the candidates coprime to
-    30 up to min(isqrt(n), _TRIAL_BOUND), a block of them per gcd, then
-    Miller-Rabin plus Pollard-Brent for any remaining cofactor.  Raises
+    _prime_powers: trial division by the primes up to min(isqrt(n),
+    _TRIAL_BOUND), a block of them per gcd, then Miller-Rabin plus
+    Pollard-Brent for any remaining cofactor.  Raises
     BudgetExceeded when the work limit runs out; never returns a partial
     answer.
     """
@@ -419,7 +417,7 @@ def prime_stream() -> Iterator[int]:
         primes = list(compress(range(lo, hi), _sieve(lo, hi)))
         yield from primes[:left]
         if len(primes) > left:
-            raise _out_of_work(f"walking primes past the first {limit}")
+            raise _out_of_work(f"walking primes past the first {limit}", limit, limit + 1)
         left, lo = left - len(primes), hi
 
 

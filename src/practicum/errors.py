@@ -21,7 +21,17 @@ class InvalidInput(PracticumError, ValueError):
 
 class BudgetExceeded(PracticumError):
     """A configured limit ran out before the answer; the message names the
-    flag or constant that raises it."""
+    flag or constant that raises it.
+
+    knob is that flag or constant, limit its value, and used what the
+    operation had taken or asked for when it stopped: work units, values
+    scanned, rounds or bytes, in the limit's own unit.
+    """
+
+    def __init__(self, message: str, *, knob: str | None = None,
+                 limit: int | None = None, used: int | None = None):
+        super().__init__(message)
+        self.knob, self.limit, self.used = knob, limit, used
 
 
 class FalsificationSignal(PracticumError):

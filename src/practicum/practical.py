@@ -137,7 +137,7 @@ def is_practical(n: int) -> PracticalityVerdict:
 def is_practical_quick(n: int) -> bool:
     """is_practical(n).practical by the same walk under the same budget, with
     n's prime powers drawn lazily from factorize's trial stage, which stops
-    at the first candidate above sigma(prefix) + 1: rho runs only once that
+    at the first prime above sigma(prefix) + 1: rho runs only once that
     bound passes the trial bound.  This is what the scan-heavy paths use."""
     if n < 1:
         raise InvalidInput(f"practicality is defined for n >= 1, got {n}")
@@ -157,7 +157,8 @@ def is_practical_oracle(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
         raise InvalidInput(f"oracle is defined for n >= 1, got {n}")
     if n > bound:
         raise BudgetExceeded(
-            f"oracle bound {bound} exceeded by n = {n}: raise --oracle-bound (bound)"
+            f"oracle bound {bound} exceeded by n = {n}: raise --oracle-bound (bound)",
+            knob="--oracle-bound", limit=bound, used=n,
         )
     divisors = []
     for d in range(1, math.isqrt(n) + 1):

@@ -120,7 +120,8 @@ def ap_practical_stream(
                 return found
     raise BudgetExceeded(
         f"only {len(found)} practical terms of {a}n+{b} within n <= {n_limit}: "
-        "raise --scan-bound (n_limit)"
+        "raise --scan-bound (n_limit)",
+        knob="--scan-bound", limit=n_limit, used=n_limit,
     )
 
 
@@ -199,5 +200,9 @@ def nonpractical_witness(
         v = _poly_eval(trimmed, n)
         if v >= 1 and not is_practical_quick(v):
             return PolyWitness(n=n, value=v, verdict=is_practical(v))
-    knob = "progressions._POLY_BOUND_CAP" if n_limit == _POLY_BOUND_CAP else "--scan-bound (n_limit)"
-    raise BudgetExceeded(f"no non-practical value with n <= {n_limit}: raise {knob}")
+    if n_limit == _POLY_BOUND_CAP:
+        knob, hint = "progressions._POLY_BOUND_CAP", "progressions._POLY_BOUND_CAP"
+    else:
+        knob, hint = "--scan-bound", "--scan-bound (n_limit)"
+    raise BudgetExceeded(f"no non-practical value with n <= {n_limit}: raise {hint}",
+                         knob=knob, limit=n_limit, used=n_limit)

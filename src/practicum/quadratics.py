@@ -292,7 +292,8 @@ def quad_practical_stream(
     if len(values) < count and cls.case == INFINITELY_MANY:
         raise BudgetExceeded(
             f"only {len(values)} practical values of {q} within n <= {n_limit}: "
-            "raise --scan-bound (n_limit)"
+            "raise --scan-bound (n_limit)",
+            knob="--scan-bound", limit=n_limit, used=n_limit,
         )
     return values
 
@@ -470,5 +471,6 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
             t_list.append(next(t for t in primes if _roots_mod_prime(q, t)))
     raise BudgetExceeded(
         f"witness construction for {q} did not converge in {_WITNESS_ROUNDS} rounds"
-        " (_WITNESS_ROUNDS)"
+        " (_WITNESS_ROUNDS)",
+        knob="quadratics._WITNESS_ROUNDS", limit=_WITNESS_ROUNDS, used=_WITNESS_ROUNDS,
     )

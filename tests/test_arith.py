@@ -255,23 +255,16 @@ def test_jacobi_matches_eulers_criterion():
             assert arith._jacobi(a, p) == (-1 if euler == p - 1 else euler), (a, p)
 
 
-def _wheel_loop_factorize(n, budget):
-    """factorize with the per-candidate wheel loop it used before block gcds."""
+def _prime_loop_factorize(n, budget):
+    """factorize with one trial division per prime, the primes from _is_prime."""
     trial_bound, work_limit = budget
-    if n == 1:
-        return Factorization(())
-    meter = arith._WorkMeter(work_limit)
+    meter = arith._WorkMeter(work_limit, 0)
     factors = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d <= trial_bound:
-        meter.left -= 1  # meter.charge(1, n), inlined to keep the oracle fast
-        if meter.left < 0:
+    for d in _primes_by_is_prime():
+        if d * d > n or d > trial_bound:
+            break
+        meter.used += 1  # meter.charge(1, n), inlined to keep the oracle fast
+        if meter.used > work_limit:
             meter.charge(0, n)
         if n % d == 0:
             e = 0
@@ -279,8 +272,6 @@ def _wheel_loop_factorize(n, budget):
                 n //= d
                 e += 1
             factors[d] = e
-        d += wheel[i]
-        i = (i + 1) % 8
     rng = random.Random(0xC0FFEE)
     stack = [n] if n > 1 else []
     while stack:
@@ -300,23 +291,24 @@ def _outcome(f, n, budget):
     try:
         return f(n, budget)
     except BudgetExceeded as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), exc.knob, exc.limit, exc.used
 
 
-def _assert_matches_wheel_loop(n, budget):
-    expected = _outcome(_wheel_loop_factorize, n, budget)
+def _assert_matches_prime_loop(n, budget):
+    expected = _outcome(_prime_loop_factorize, n, budget)
     assert _outcome(_factorize_under, n, budget) == expected, (n, budget)
     return expected
 
 
-_TRIAL_BOUNDS = (6, 7, 49, 100, 12345, 1 << 16, 70000)
-_WORK_LIMITS = (0, 1, 50, 1000, 1 << 23)
+_TRIAL_BOUNDS = (2, 3, 6, 7, 49, 100, 1619, 12345, 1 << 16, 70000)
+_WORK_LIMITS = (0, 1, 3, 16, 17, 50, 1000, 1 << 23)
+_P = _primes_by_is_prime  # _P()[j] is the prime with index j, 2 having index 0
 
 
-def test_block_gcd_trial_division_matches_the_wheel_loop():
+def test_block_gcd_trial_division_matches_the_prime_loop():
     rng = random.Random(11)
     straddling = [p for p in range((1 << 16) - 1500, (1 << 16) + 1500) if is_prime_trial(p)]
-    small = [p for p in range(7, 2000) if is_prime_trial(p)]
+    small = [p for p in range(2, 2000) if is_prime_trial(p)]
     for case in range(20_000):
         kind = case % 3
         if kind == 0:
@@ -326,82 +318,106 @@ def test_block_gcd_trial_division_matches_the_wheel_loop():
         else:
             n = rng.choice(straddling) ** rng.randrange(1, 3) * rng.choice(straddling)
             n *= rng.choice(small) ** rng.randrange(0, 3) * rng.randrange(1, 100)
-        _assert_matches_wheel_loop(n, (rng.choice(_TRIAL_BOUNDS), rng.choice(_WORK_LIMITS)))
+        _assert_matches_prime_loop(n, (rng.choice(_TRIAL_BOUNDS), rng.choice(_WORK_LIMITS)))
 
 
-def _candidate(j):
-    """The wheel candidate with index j among 7, 11, 13, ... (coprime to 30)."""
-    return 30 * (j // 8) + (7, 11, 13, 17, 19, 23, 29, 31)[j % 8]
-
-
-def _wheel_index(c):
-    """Index of the wheel candidate c among 7, 11, 13, ... (coprime to 30)."""
-    return sum(1 for x in range(7, c) if math.gcd(x, 30) == 1)
+def _block_edges(blocks):
+    """The first and last prime of each of blocks 0, 1, ..., blocks - 1."""
+    block = arith._BLOCK
+    return [_P()[j] for b in range(blocks) for j in (b * block, (b + 1) * block - 1)]
 
 
 def test_prime_factor_at_a_block_edge():
-    block = arith._BLOCK
-    ends = []
-    for b in range(arith._candidates_upto(1 << 16) // block):  # blocks below the default bound
-        first, last = _candidate(b * block), _candidate((b + 1) * block - 1)
-        ends += [c for c in (first, last) if is_prime_trial(c)]
-    assert len(ends) >= 10
+    blocks = bisect_right(_P(), 1 << 16) // arith._BLOCK  # the blocks below the default bound
+    ends = _block_edges(blocks)
+    assert len(ends) == 50
     for c in ends:
         for n in (c, c * c, 2 * c * 1_000_003, c * 65537**2, c**3 * (c + 2)):
-            f = _assert_matches_wheel_loop(n, (_TB, 1 << 23))
+            f = _assert_matches_prime_loop(n, (_TB, 1 << 23))
             assert dict(f.factors)[c] >= 1
+
+
+def test_block_products_cover_whole_blocks_only(monkeypatch):
+    # the table grows a block at a time from a fresh start; a product cached
+    # while the table held part of its block would miss the primes added later
+    monkeypatch.setattr(arith, "_trial_primes", ())
+    monkeypatch.setattr(arith, "_block_products", {})
+    _assert_matches_prime_loop(1_000_003, (_TB, 1 << 23))  # caches block 0
+    edges = _block_edges(3)
+    for p in edges:
+        nxt = _P()[_P().index(p) + 1]
+        for n in (p * nxt, p * p, p * 1_000_003, p * edges[-1]):
+            f = _assert_matches_prime_loop(n, (_TB, 1 << 23))
+            assert dict(f.factors)[p] >= 1, n
+    assert len(arith._trial_primes) % arith._BLOCK == 0
 
 
 def test_trial_bound_on_between_and_inside_blocks():
     block = arith._BLOCK
-    bounds = [_candidate(j) for j in (block - 1, block, 3 * block + block // 2)]
+    bounds = [_P()[j] for j in (block - 1, block, 3 * block + block // 2)]
     bounds += [c + 1 for c in bounds] + [c - 1 for c in bounds]
     n = 1_000_000_007**2 * 1_000_003  # no factor <= any bound: the trial stage runs to it
     for tb in bounds:
-        work = _wheel_index(tb + 1)  # candidates <= tb, each charged once
-        assert arith._candidates_upto(tb) == work
-        for limit in (work - 1, work, 1 << 23):
-            _assert_matches_wheel_loop(n, (tb, limit))
-        f = _factorize_under(1_000_003 * 1_000_033 ** 2, (tb, 1 << 23))
-        assert f.factors == ((1_000_003, 1), (1_000_033, 2))
-        prime = 10**12 + 39
-        assert _factorize_under(prime, (tb, work)).factors == ((prime, 1),)
-        with pytest.raises(BudgetExceeded):
-            _factorize_under(prime, (tb, work - 1))
+        with time_limit(10):  # a stop short of a prime bound would retest its block forever
+            work = bisect_right(_P(), tb)  # the primes <= tb, each charged once
+            for limit in (work - 1, work, 1 << 23):
+                _assert_matches_prime_loop(n, (tb, limit))
+            f = _factorize_under(1_000_003 * 1_000_033 ** 2, (tb, 1 << 23))
+            assert f.factors == ((1_000_003, 1), (1_000_033, 2))
+            prime = 10**12 + 39
+            assert _factorize_under(prime, (tb, work)).factors == ((prime, 1),)
+            with pytest.raises(BudgetExceeded) as exc:
+                _factorize_under(prime, (tb, work - 1))
+            assert (exc.value.limit, exc.value.used) == (work - 1, work)
 
 
 def test_square_of_the_first_candidate_above_the_trial_bound():
     # the trial stage ends with d = q, so q*q is not taken for a prime by m < d*d
-    for q in (11, 101, 967, _candidate(3 * arith._BLOCK + 5), 65537):
+    for q in (3, 11, 101, 967, _P()[3 * arith._BLOCK + 5], 65537):
         assert is_prime_trial(q)
-        below = max(c for c in range(q) if c < 7 or math.gcd(c, 30) == 1)
+        below = max(c for c in range(2, q) if is_prime_trial(c))
         for tb in range(below, q):
             budget = (tb, 1 << 23)
-            assert _assert_matches_wheel_loop(q * q, budget).factors == ((q, 2),)
+            assert _assert_matches_prime_loop(q * q, budget).factors == ((q, 2),)
             assert _factorize_under(q * q * 1_000_003, budget).factors == (
                 (q, 2), (1_000_003, 1))
 
 
 def test_block_product_cache_stays_bounded(monkeypatch):
     # every input walks each block up to the trial bound and none past it,
-    # so the cache ends with exactly the blocks below the bound
+    # so the table and the cache end with exactly the blocks below the bound
+    monkeypatch.setattr(arith, "_trial_primes", ())
     monkeypatch.setattr(arith, "_block_products", {})
-    blocks = arith._candidates_upto(arith._TRIAL_BOUND) // arith._BLOCK + 1
+    blocks = bisect_right(_P(), arith._TRIAL_BOUND) // arith._BLOCK + 1
+    assert blocks == 26
     for n in (65537 * 65539, 1_000_003 * 1_000_033**2, 10**30 + 57):
         factorize(n)
         assert sorted(arith._block_products) == list(range(blocks)), n
+        assert len(arith._trial_primes) == blocks * arith._BLOCK, n
+
+
+def test_the_walk_returns_to_block_gcds_after_a_factor(monkeypatch):
+    # a factor found while a flagged block is walked prime by prime restarts
+    # the count of _WALK primes, after which one gcd tests the rest of the block
+    blocks = []
+    product = arith._block_product
+    monkeypatch.setattr(arith, "_block_product", lambda b: blocks.append(b) or product(b))
+    p = _P()[arith._BLOCK + 10]
+    assert factorize(p * 1_000_000_007 * 1_000_000_009).factors == (
+        (p, 1), (1_000_000_007, 1), (1_000_000_009, 1))
+    assert blocks[:4] == [0, 1, 1, 2]
 
 
 def test_cofactor_drops_below_d_squared_inside_a_block():
     block = arith._BLOCK
     j = 2 * block + block // 2
-    p = next(c for c in map(_candidate, range(j, 3 * block)) if is_prime_trial(c))
+    p = _P()[j]
     q = next(c for c in range(p + 2, p * p) if is_prime_trial(c))
     r = next(c for c in range(p * p + 1, 2 * p * p) if is_prime_trial(c))
-    work = _wheel_index(p) + 1  # the walk stops right after p: q < next candidate^2
+    work = j + 1  # the walk stops right after p: q < next prime^2
     for n, factors in ((p * q, ((p, 1), (q, 1))), (p**2 * r, ((p, 2), (r, 1)))):
         assert _factorize_under(n, (_TB, work)).factors == factors
         with pytest.raises(BudgetExceeded):
             _factorize_under(n, (_TB, work - 1))
         for limit in (work - 1, work, 1 << 23):
-            _assert_matches_wheel_loop(n, (_TB, limit))
+            _assert_matches_prime_loop(n, (_TB, limit))

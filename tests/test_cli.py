@@ -556,7 +556,7 @@ _NEEDS_FACTORING = {
     "poly witness": ["poly", "witness", f"0,{_SEMIPRIME}"],
     # q(1) = 2^20 * 1000003 * 1000033, and sigma(2^20) + 1 > 10^6
     "quad stream": ["quad", "stream", "1", "0", str(2**20 * int(_SEMIPRIME) - 1), "--count", "1"],
-    # the first member is 24 mod 32: sigma(8) + 1 = 16 passes the wheel's 7 and 11
+    # the first member is 24 mod 32: sigma(8) + 1 = 16 passes the primes 2 and 3
     "family --verify": ["family", "0", "--count", "1", "--verify"],
     # the m_q walks pay a unit per prime, and p_r is 5 for n^2 + 1, 7 for n^2 + 3
     "quad classify": ["quad", "classify", "1", "0", "1"],

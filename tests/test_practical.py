@@ -88,7 +88,7 @@ def test_quick_hands_a_large_cofactor_to_miller_rabin():
     with time_limit(2):
         assert is_practical_quick(n)
     with factor_budget(1000), pytest.raises(BudgetExceeded):
-        is_practical_quick(n)  # the trial stage alone passes ~17,000 candidates
+        is_practical_quick(n)  # the trial stage alone passes 6,542 primes
     assert not is_practical_quick(2 * (10**30 + 57))  # stops at 3 > sigma(2) + 1
 
 

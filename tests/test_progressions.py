@@ -120,7 +120,7 @@ def test_stream_budget():
 
 def test_stream_runs_under_the_factor_budget():
     # sigma(2^20) + 1 > 10^6, so deciding this term takes trial division
-    # past 1000 candidates (it is practical)
+    # past 1000 primes (it is practical)
     b = 2**20 * 1_000_003 * 1_000_033
     with factor_budget(1000):
         with pytest.raises(BudgetExceeded):
