@@ -207,24 +207,26 @@ _trial_primes: tuple[int, ...] = ()  # whole blocks; replaced by a longer tuple,
 _block_products: dict[int, int] = {}
 
 
-def _grow_trial_primes() -> tuple[int, ...]:
-    """_trial_primes and the next _BLOCK primes, made the new _trial_primes."""
+def _grow_trial_primes(primes: tuple[int, ...]) -> tuple[int, ...]:
+    """primes, the table a walk holds, and the next _BLOCK primes; kept as
+    _trial_primes unless another walk has made that as long."""
     global _trial_primes
-    primes, new = _trial_primes, []
+    new = []
     lo = primes[-1] + 1 if primes else 2
     while len(new) < _BLOCK:
         hi = lo + _BLOCK * max(lo.bit_length(), 7)  # about 1.1 to 1.5 times _BLOCK primes
         new += compress(range(lo, hi), _sieve(lo, hi))
         lo = hi
-    _trial_primes = primes = primes + tuple(new[:_BLOCK])
+    primes += tuple(new[:_BLOCK])
+    _trial_primes = max(_trial_primes, primes, key=len)
     return primes
 
 
-def _block_product(b: int) -> int:
-    """Product of the primes of block b, which _trial_primes covers."""
+def _block_product(b: int, primes: tuple[int, ...]) -> int:
+    """Product of the primes of block b of the table, which primes covers."""
     product = _block_products.get(b)
     if product is None:
-        product = _block_products[b] = math.prod(_trial_primes[b * _BLOCK:(b + 1) * _BLOCK])
+        product = _block_products[b] = math.prod(primes[b * _BLOCK:(b + 1) * _BLOCK])
     return product
 
 
@@ -299,7 +301,7 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
         try:
             d = primes[j]
         except IndexError:  # the walk reached the end of the table
-            primes = _grow_trial_primes()
+            primes = _grow_trial_primes(primes)
             d = primes[j]
         if d * d > n or d > cap:  # n is 1 or prime, or its primes all pass the bound
             if n > 1:
@@ -311,7 +313,7 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
             if j == work_limit:  # prime j would cost one unit more than the limit
                 raise _out_of_work(f"factoring {n}", work_limit, j + 1)
             block_end = (j // _BLOCK + 1) * _BLOCK
-            if math.gcd(n, _block_product(j // _BLOCK)) == 1:  # none left in the block divides n
+            if math.gcd(n, _block_product(j // _BLOCK, primes)) == 1:  # none left in it divides n
                 stop = bisect_right(primes, min(math.isqrt(n), trial_bound, cap))
                 j = walk_end = min(stop, block_end, work_limit)
                 continue
@@ -350,9 +352,8 @@ def factorize(n: int) -> Factorization:
     block, else DEFAULT_WORK_LIMIT.  The prime powers come from
     _prime_powers: trial division by the primes up to min(isqrt(n),
     _TRIAL_BOUND), a block of them per gcd, then Miller-Rabin plus
-    Pollard-Brent for any remaining cofactor.  Raises
-    BudgetExceeded when the work limit runs out; never returns a partial
-    answer.
+    Pollard-Brent for any remaining cofactor.  Raises BudgetExceeded when
+    the work limit runs out; never returns a partial answer.
     """
     if n < 1:
         raise InvalidInput(f"factorize requires n >= 1, got {n}")

@@ -352,6 +352,24 @@ def test_block_products_cover_whole_blocks_only(monkeypatch):
     assert len(arith._trial_primes) % arith._BLOCK == 0
 
 
+def test_a_walk_keeps_its_own_table_when_the_shared_one_shrinks(monkeypatch):
+    # another thread may store a shorter table while a walk runs; the walk's
+    # block products and growth come from the table it holds
+    monkeypatch.setattr(arith, "_trial_primes", ())
+    monkeypatch.setattr(arith, "_block_products", {})
+    block = arith._BLOCK
+    p = _P()[block + 10]
+    walk = arith._prime_powers(p * 1_000_000_007 * 1_000_000_009)
+    assert next(walk) == (p, 1)
+    assert len(arith._trial_primes) == 2 * block
+    monkeypatch.setattr(arith, "_trial_primes", arith._trial_primes[:block])
+    arith._block_products.clear()
+    assert list(walk) == [(1_000_000_007, 1), (1_000_000_009, 1)]
+    assert 1 not in arith._block_products.values()
+    assert sorted(arith._block_products) == list(range(1, 26))
+    assert arith._trial_primes == _P()[:26 * block]
+
+
 def test_trial_bound_on_between_and_inside_blocks():
     block = arith._BLOCK
     bounds = [_P()[j] for j in (block - 1, block, 3 * block + block // 2)]
@@ -401,7 +419,8 @@ def test_the_walk_returns_to_block_gcds_after_a_factor(monkeypatch):
     # the count of _WALK primes, after which one gcd tests the rest of the block
     blocks = []
     product = arith._block_product
-    monkeypatch.setattr(arith, "_block_product", lambda b: blocks.append(b) or product(b))
+    monkeypatch.setattr(arith, "_block_product",
+                        lambda b, primes: blocks.append(b) or product(b, primes))
     p = _P()[arith._BLOCK + 10]
     assert factorize(p * 1_000_000_007 * 1_000_000_009).factors == (
         (p, 1), (1_000_000_007, 1), (1_000_000_009, 1))

@@ -1,18 +1,20 @@
 """Replayable mutation checks: does each catalogued mutant still fail its tests?
 
-    python3 tools/mutants.py [--timeout 300] [ID ...]
+    python3 tools/mutants.py [ID ...]
 
 Each entry of the JSON catalogue tools/mutants.json names a file under src/
 or tests/, a snippet that occurs in it exactly once, the snippet's
-replacement, the test node ids expected to fail, and the commit whose code
-the snippet was taken from ("base").
+replacement, the test node ids expected to fail, and the parent commit of
+the change that added the entry ("base").
 
-For each mutant, src/, tests/ and pyproject.toml are copied to a fresh
-temporary directory, the snippet is replaced there, and only the entry's
-tests run, under a timeout.  The tool prints one line per mutant:
-caught (a test failed, or the run hung past the timeout), survived (every
-test passed) or stale (the snippet does not occur exactly once).  It exits
-1 when a mutant survived or is stale.
+The entries' tests first run once on an unmutated copy of src/, tests/ and
+pyproject.toml in a temporary directory; unless they all pass, the tool
+stops.  Then, for each mutant, a fresh copy gets the snippet replaced and
+only the entry's tests run, under a timeout (TIMEOUT, 300 s).  The tool
+prints one line per mutant: caught (a test failed, collection broke, or the
+run hung past the timeout), survived (every test passed), stale (the snippet
+does not occur exactly once) or error (any other pytest exit code, such as
+an unknown test id).  It exits 1 unless every mutant is caught.
 Standard library only; pytest must be importable by the running Python.
 """
 
@@ -31,6 +33,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CATALOGUE = ROOT / "tools" / "mutants.json"
 KEYS = {"id", "file", "snippet", "replacement", "tests", "base"}
+TIMEOUT = 300  # seconds before a mutant's tests count as hung
+# pytest's exit codes: every test passed, a test failed, collection broke
+OUTCOMES = {0: "survived", 1: "caught", 2: "caught"}
 
 
 def load() -> list[dict]:
@@ -50,46 +55,50 @@ def mutate(source: str, entry: dict) -> str | None:
     return source.replace(entry["snippet"], entry["replacement"])
 
 
-def run(entry: dict, timeout: float) -> tuple[str, float]:
-    """The outcome of one mutant, and the seconds its tests ran."""
+def run(tests: list[str], entry: dict | None = None) -> tuple[str, float]:
+    """The outcome of the tests in a fresh copy of the tree, with the entry's
+    mutant applied when one is given, and the seconds they ran."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, tree / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
-        target = tree / entry["file"]
-        mutated = mutate(target.read_text(encoding="utf-8"), entry)
-        if mutated is None:
-            return "stale", 0.0
-        target.write_text(mutated, encoding="utf-8")
+        if entry is not None:
+            target = tree / entry["file"]
+            mutated = mutate(target.read_text(encoding="utf-8"), entry)
+            if mutated is None:
+                return "stale", 0.0
+            target.write_text(mutated, encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                 *entry["tests"]],
-                cwd=tree, env=env, capture_output=True, timeout=timeout)
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return "caught", time.perf_counter() - start  # a hang counts as caught
-        return ("caught" if proc.returncode else "survived"), time.perf_counter() - start
+        outcome = OUTCOMES.get(proc.returncode, f"error (pytest exit {proc.returncode})")
+        return outcome, time.perf_counter() - start
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ids", nargs="*", help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds before a mutant's tests count as hung (default 300)")
     args = parser.parse_args(argv)
     entries = load()
     unknown = set(args.ids) - {entry["id"] for entry in entries}
     if unknown:
         parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
+    entries = [entry for entry in entries if not args.ids or entry["id"] in args.ids]
+    tests = sorted({node for entry in entries for node in entry["tests"]})
+    outcome, seconds = run(tests)
+    if outcome != "survived":
+        print(f"error     the tests fail without a mutant: {outcome}  {seconds:.1f} s")
+        return 1
     bad = 0
     for entry in entries:
-        if args.ids and entry["id"] not in args.ids:
-            continue
-        outcome, seconds = run(entry, args.timeout)
+        outcome, seconds = run(entry["tests"], entry)
         bad += outcome != "caught"
         print(f"{outcome:9} {entry['id']}  {seconds:.1f} s", flush=True)
     return 1 if bad else 0
