@@ -6,14 +6,16 @@ factor_budget sets for a scope), divisor sums, p-adic valuations, a CRT
 solver that accepts non-coprime moduli and the one way primes are
 produced: the pure-Python sieve _sieve, whose windows prime_stream walks
 under the same work limit and whose one window to a bound gives primes_upto
-a numpy prime table.  _is_prime (Miller-Rabin, proven below psi_13 ~ 3.3 *
-10^24, Baillie-PSW above) tests cofactors and primes given as input.
+a numpy prime table and the trial stage its table.  _is_prime
+(Miller-Rabin, proven below psi_13 ~ 3.3 * 10^24, Baillie-PSW above) tests
+cofactors and primes given as input.
 Everything here works on arbitrary-precision ints; only the prime table is
 machine-word sized.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_right
@@ -197,49 +199,45 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-# Trial division runs over _trial_primes, the primes 2, 3, 5, ... from _sieve.
-# The table grows a block of _BLOCK primes at a time, as far as a walk
-# reaches, and each block is tested by one gcd with its product, kept once
-# made: the primes up to _TRIAL_BOUND fill 26 blocks.
+# Trial division runs over _trial_table(_TRIAL_BOUND), the primes 2, 3, 5, ...
+# through the first prime above the bound from one _sieve window, made once
+# per bound and never changed.  Each block of _BLOCK primes is tested by one
+# gcd with its product, kept in the table's own dict once made: the primes up
+# to 65537, the first past the default bound, fill 26 blocks.
 _BLOCK = 256
 _WALK = 16  # primes tried one by one before a gcd clears the rest of a block
-_trial_primes: tuple[int, ...] = ()  # whole blocks; replaced by a longer tuple, never changed
-_block_products: dict[int, int] = {}
 
 
-def _grow_trial_primes(primes: tuple[int, ...]) -> tuple[int, ...]:
-    """primes, the table a walk holds, and the next _BLOCK primes; kept as
-    _trial_primes unless another walk has made that as long."""
-    global _trial_primes
-    new = []
-    lo = primes[-1] + 1 if primes else 2
-    while len(new) < _BLOCK:
-        hi = lo + _BLOCK * max(lo.bit_length(), 7)  # about 1.1 to 1.5 times _BLOCK primes
-        new += compress(range(lo, hi), _sieve(lo, hi))
-        lo = hi
-    primes += tuple(new[:_BLOCK])
-    _trial_primes = max(_trial_primes, primes, key=len)
-    return primes
+@functools.cache
+def _trial_table(bound: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The primes through the first one above bound, and the products of
+    their blocks, which _block_product adds as walks reach them."""
+    hi = bound + 2  # for the default bound, a window to 65537
+    while True:
+        primes = (2, *compress(range(3, hi, 2), _sieve(2, hi)[1::2]))  # 2 and the odd primes < hi
+        if primes[-1] > bound:
+            return primes[:bisect_right(primes, bound) + 1], {}
+        hi *= 2  # (bound, 2 * bound] holds a prime
 
 
-def _block_product(b: int, primes: tuple[int, ...]) -> int:
-    """Product of the primes of block b of the table, which primes covers."""
-    product = _block_products.get(b)
+def _block_product(b: int, primes: tuple[int, ...], products: dict[int, int]) -> int:
+    """Product of block b of a trial table's primes, kept in its products."""
+    product = products.get(b)
     if product is None:
-        product = _block_products[b] = math.prod(primes[b * _BLOCK:(b + 1) * _BLOCK])
+        product = products[b] = math.prod(primes[b * _BLOCK:(b + 1) * _BLOCK])
     return product
 
 
 class _WorkMeter:
-    __slots__ = ("limit", "used")
+    __slots__ = ("limit", "used", "n")
 
-    def __init__(self, limit: int, used: int):
-        self.limit, self.used = limit, used
+    def __init__(self, limit: int, used: int, n: int):
+        self.limit, self.used, self.n = limit, used, n
 
-    def charge(self, amount: int, n: int) -> None:
+    def charge(self, amount: int) -> None:
         self.used += amount
         if self.used > self.limit:
-            raise _out_of_work(f"factoring {n}", self.limit, self.used)
+            raise _out_of_work(f"factoring {self.n}", self.limit, self.used)
 
 
 def _out_of_work(task: str, limit: int, used: int) -> BudgetExceeded:
@@ -268,7 +266,7 @@ def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                meter.charge(min(m, r - k), n)
+                meter.charge(min(m, r - k))
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -276,7 +274,7 @@ def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                meter.charge(1, n)
+                meter.charge(1)
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
@@ -286,23 +284,22 @@ def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
 def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], int | None, None]:
     """The prime powers (p, e) of n >= 1 in increasing p, under the work limit in force.
 
-    The primes of _trial_primes up to min(isqrt(n), _TRIAL_BOUND): _WALK of
-    them one by one, the rest of their block by one gcd, and a block the gcd
-    flags one by one; then Miller-Rabin and Pollard-Brent on what is left.
+    The primes up to min(isqrt(n), _TRIAL_BOUND) of the trial table for
+    _TRIAL_BOUND, both read once at the start: _WALK of them one by one, the
+    rest of their block by one gcd, and a block the gcd flags one by one;
+    then Miller-Rabin and Pollard-Brent on what is left.  A work limit
+    error names n, not the cofactor left.
     A caller walking Stewart's chain sends its bound sigma(prefix) + 1 after
     each step (cap is the first; next() keeps it).  Once the next untried
     prime d passes the bound while the cofactor is not 1, (d, 0) stands for
     the primes left, which all exceed it.
     """
-    primes, trial_bound, work_limit = _trial_primes, _TRIAL_BOUND, _work_limit.get()
+    trial_bound, work_limit, asked = _TRIAL_BOUND, _work_limit.get(), n
+    primes, products = _trial_table(trial_bound)
     j = 0  # index of the next prime to try, and the work charged so far
     walk_end = _WALK if _WALK < work_limit else work_limit  # where work ends or a gcd tests a block
     while True:
-        try:
-            d = primes[j]
-        except IndexError:  # the walk reached the end of the table
-            primes = _grow_trial_primes(primes)
-            d = primes[j]
+        d = primes[j]  # the table's last prime passes trial_bound, so j never passes it
         if d * d > n or d > cap:  # n is 1 or prime, or its primes all pass the bound
             if n > 1:
                 yield (n, 1) if d * d > n else (d, 0)
@@ -311,9 +308,9 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
             break
         if j == walk_end:
             if j == work_limit:  # prime j would cost one unit more than the limit
-                raise _out_of_work(f"factoring {n}", work_limit, j + 1)
+                raise _out_of_work(f"factoring {asked}", work_limit, j + 1)
             block_end = (j // _BLOCK + 1) * _BLOCK
-            if math.gcd(n, _block_product(j // _BLOCK, primes)) == 1:  # none left in it divides n
+            if math.gcd(n, _block_product(j // _BLOCK, primes, products)) == 1:  # none in it divides n
                 stop = bisect_right(primes, min(math.isqrt(n), trial_bound, cap))
                 j = walk_end = min(stop, block_end, work_limit)
                 continue
@@ -328,7 +325,7 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
             cap = (yield d, e) or cap
             walk_end = j + _WALK if j + _WALK < work_limit else work_limit
 
-    meter = _WorkMeter(work_limit, j)
+    meter = _WorkMeter(work_limit, j, asked)
     rng = None
     factors: dict[int, int] = {}
     stack = [n]
@@ -351,9 +348,10 @@ def factorize(n: int) -> Factorization:
     The limit is the one set by the innermost enclosing factor_budget
     block, else DEFAULT_WORK_LIMIT.  The prime powers come from
     _prime_powers: trial division by the primes up to min(isqrt(n),
-    _TRIAL_BOUND), a block of them per gcd, then Miller-Rabin plus
-    Pollard-Brent for any remaining cofactor.  Raises BudgetExceeded when
-    the work limit runs out; never returns a partial answer.
+    _TRIAL_BOUND) of a table made once per bound, a block of them per gcd,
+    then Miller-Rabin plus Pollard-Brent for any remaining cofactor.
+    Raises BudgetExceeded, naming n, when the work limit runs out; never
+    returns a partial answer.
     """
     if n < 1:
         raise InvalidInput(f"factorize requires n >= 1, got {n}")
@@ -391,12 +389,15 @@ def crt_solve(system: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 def _sieve(lo: int, hi: int) -> bytearray:
     """Eratosthenes on the window [lo, hi), 2 <= lo: byte n - lo is 1
-    exactly when n is prime.  The sieving primes up to isqrt(hi - 1) come
-    from the same sieve, and each strikes its multiples from its square."""
+    exactly when n is prime.  Each sieving prime up to isqrt(hi - 1)
+    strikes its multiples from its square.  From lo = 2 they are read off
+    the window's own flags, each final before it is read; any other window
+    takes them from _sieve(2, isqrt(hi - 1) + 1), one level down."""
     flags = bytearray([1]) * (hi - lo)
     if hi > 4:  # 2 <= isqrt(hi - 1): there are primes to sieve with
         root = math.isqrt(hi - 1)
-        for p in compress(range(2, root + 1), _sieve(2, root + 1)):
+        small = flags if lo == 2 else _sieve(2, root + 1)
+        for p in compress(range(2, root + 1), small):
             start = max(p * p - lo, -lo % p)  # offset of max(p^2, the first multiple >= lo)
             flags[start::p] = bytes(len(range(start, hi - lo, p)))
     return flags

@@ -70,6 +70,17 @@ def test_factorize_budget_exceeded():
         _factorize_under(n, (100, 1000))
 
 
+def test_work_error_names_n_not_the_cofactor():
+    n = 2 * 1_000_003 * 1_000_033
+    # the trial stage runs out at prime 11 (used = limit + 1); Pollard-Brent
+    # runs out after the 6,542 trial primes below 2^16
+    for limit, used in ((10, 11), (6543, 6545)):
+        with factor_budget(limit), pytest.raises(BudgetExceeded) as exc:
+            factorize(n)
+        assert f"while factoring {n}:" in str(exc.value)
+        assert (exc.value.limit, exc.value.used) == (limit, used)
+
+
 def test_factor_budget_restores_the_outer_budget(monkeypatch):
     monkeypatch.setattr(arith, "_TRIAL_BOUND", 100)
     n = 1_000_003 * 1_000_033  # 10 units of work do not reach its factors
@@ -258,14 +269,14 @@ def test_jacobi_matches_eulers_criterion():
 def _prime_loop_factorize(n, budget):
     """factorize with one trial division per prime, the primes from _is_prime."""
     trial_bound, work_limit = budget
-    meter = arith._WorkMeter(work_limit, 0)
+    meter = arith._WorkMeter(work_limit, 0, n)
     factors = {}
     for d in _primes_by_is_prime():
         if d * d > n or d > trial_bound:
             break
-        meter.used += 1  # meter.charge(1, n), inlined to keep the oracle fast
+        meter.used += 1  # meter.charge(1), inlined to keep the oracle fast
         if meter.used > work_limit:
-            meter.charge(0, n)
+            meter.charge(0)
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -337,37 +348,27 @@ def test_prime_factor_at_a_block_edge():
             assert dict(f.factors)[c] >= 1
 
 
-def test_block_products_cover_whole_blocks_only(monkeypatch):
-    # the table grows a block at a time from a fresh start; a product cached
-    # while the table held part of its block would miss the primes added later
-    monkeypatch.setattr(arith, "_trial_primes", ())
-    monkeypatch.setattr(arith, "_block_products", {})
-    _assert_matches_prime_loop(1_000_003, (_TB, 1 << 23))  # caches block 0
-    edges = _block_edges(3)
-    for p in edges:
-        nxt = _P()[_P().index(p) + 1]
-        for n in (p * nxt, p * p, p * 1_000_003, p * edges[-1]):
-            f = _assert_matches_prime_loop(n, (_TB, 1 << 23))
-            assert dict(f.factors)[p] >= 1, n
-    assert len(arith._trial_primes) % arith._BLOCK == 0
+def test_trial_table_ends_at_the_first_prime_above_its_bound():
+    for bound in _TRIAL_BOUNDS:
+        primes, _ = arith._trial_table(bound)
+        assert primes == _P()[:bisect_right(_P(), bound) + 1], bound
+        assert primes[-2] <= bound < primes[-1], bound
 
 
-def test_a_walk_keeps_its_own_table_when_the_shared_one_shrinks(monkeypatch):
-    # another thread may store a shorter table while a walk runs; the walk's
-    # block products and growth come from the table it holds
-    monkeypatch.setattr(arith, "_trial_primes", ())
-    monkeypatch.setattr(arith, "_block_products", {})
-    block = arith._BLOCK
-    p = _P()[block + 10]
+def test_a_walk_finishes_on_its_own_table_while_another_is_made(monkeypatch):
+    # a walk reads the trial bound and its table once: the table for bound
+    # 100, made mid-walk, is too short to hold the walk's next prime
+    p = _P()[arith._BLOCK + 10]
     walk = arith._prime_powers(p * 1_000_000_007 * 1_000_000_009)
     assert next(walk) == (p, 1)
-    assert len(arith._trial_primes) == 2 * block
-    monkeypatch.setattr(arith, "_trial_primes", arith._trial_primes[:block])
-    arith._block_products.clear()
+    primes, products = arith._trial_table(_TB)
+    monkeypatch.setattr(arith, "_TRIAL_BOUND", 100)
+    assert factorize(101 * 103).factors == ((101, 1), (103, 1))
+    assert arith._trial_table(100)[0] == _P()[:26]
     assert list(walk) == [(1_000_000_007, 1), (1_000_000_009, 1)]
-    assert 1 not in arith._block_products.values()
-    assert sorted(arith._block_products) == list(range(1, 26))
-    assert arith._trial_primes == _P()[:26 * block]
+    assert arith._trial_table(_TB)[0] is primes
+    assert products == {b: math.prod(primes[b * arith._BLOCK:(b + 1) * arith._BLOCK])
+                        for b in range(26)}
 
 
 def test_trial_bound_on_between_and_inside_blocks():
@@ -401,17 +402,14 @@ def test_square_of_the_first_candidate_above_the_trial_bound():
                 (q, 2), (1_000_003, 1))
 
 
-def test_block_product_cache_stays_bounded(monkeypatch):
-    # every input walks each block up to the trial bound and none past it,
-    # so the table and the cache end with exactly the blocks below the bound
-    monkeypatch.setattr(arith, "_trial_primes", ())
-    monkeypatch.setattr(arith, "_block_products", {})
-    blocks = bisect_right(_P(), arith._TRIAL_BOUND) // arith._BLOCK + 1
-    assert blocks == 26
+def test_block_product_cache_stays_bounded():
+    # every input walks each block up to the trial bound and none past it;
+    # the default table holds the 6,543 primes through 65537, in 26 blocks
+    primes, products = arith._trial_table(arith._TRIAL_BOUND)
+    assert len(primes) == 6543 and primes[-1] == 65537
     for n in (65537 * 65539, 1_000_003 * 1_000_033**2, 10**30 + 57):
         factorize(n)
-        assert sorted(arith._block_products) == list(range(blocks)), n
-        assert len(arith._trial_primes) == blocks * arith._BLOCK, n
+        assert sorted(products) == list(range(26)), n
 
 
 def test_the_walk_returns_to_block_gcds_after_a_factor(monkeypatch):
@@ -420,7 +418,7 @@ def test_the_walk_returns_to_block_gcds_after_a_factor(monkeypatch):
     blocks = []
     product = arith._block_product
     monkeypatch.setattr(arith, "_block_product",
-                        lambda b, primes: blocks.append(b) or product(b, primes))
+                        lambda b, *table: blocks.append(b) or product(b, *table))
     p = _P()[arith._BLOCK + 10]
     assert factorize(p * 1_000_000_007 * 1_000_000_009).factors == (
         (p, 1), (1_000_000_007, 1), (1_000_000_009, 1))

@@ -546,6 +546,17 @@ def test_factor_work_reaches_every_command_that_factors(capsys, argv):
     assert "raise --factor-work" in err
 
 
+@pytest.mark.parametrize("limit, n", [
+    ("1", "30"),  # the trial stage runs out with 15 left
+    ("10", "2000072000198"),  # the trial stage runs out with 1000036000099 left
+    ("6543", "2000072000198"),  # Pollard-Brent runs out on 1000036000099
+])
+def test_factor_work_error_names_the_number_asked_about(capsys, limit, n):
+    code, out, err = run_cli(capsys, "--factor-work", limit, "test", n)
+    assert (code, out) == (2, "")
+    assert f"while factoring {n}: raise --factor-work" in err
+
+
 # One input per command that the factor budget bounds, each needing more
 # than one unit of factoring work.
 _NEEDS_FACTORING = {

@@ -23,6 +23,7 @@ from practicum import (
     practical_triples,
     sieve_practicals,
 )
+from helpers import time_limit
 
 
 def test_sieve_limit_20_exact():
@@ -175,9 +176,10 @@ def test_small_blocks_keep_every_count_and_bound_the_nodes_in_flight(monkeypatch
     reference = _quick_flags(3 * 10**4)
     for x in (1, 2, 17, 64, 729, 10**4, 3 * 10**4):
         stacks.clear()
-        assert np.array_equal(sieve_practicals(x).flags, reference[: x + 1]), x
-        assert count_practicals(x) == int(reference[: x + 1].sum()), x
-        blocks = [len(n) for n, *_ in sieve._tree_blocks(x)]
+        with time_limit(10):  # a split that hands out no child would take forever
+            assert np.array_equal(sieve_practicals(x).flags, reference[: x + 1]), x
+            assert count_practicals(x) == int(reference[: x + 1].sum()), x
+            blocks = [len(n) for n, *_ in sieve._tree_blocks(x)]
         assert max(blocks[1:], default=0) <= 7, x  # every block after the first
         depth = int(math.log(x, 5) + 1e-9)  # the part prime to 6 of a depth-d node is >= 5^d
         assert all(len(jobs) <= depth and max(jobs[1:], default=0) <= 7 for jobs in stacks), x
