@@ -173,14 +173,19 @@ def _get_bitmap(args, limit: int) -> tuple[PracticalBitmap, Path]:
     cache_dir = Path(args.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"practical-{limit}.bits"
-    # write beside the entry, then rename: readers never see a partial file
-    tmp = cache_dir / f".{path.name}.{os.getpid()}.tmp"
+    _save(bitmap, path)
+    return bitmap, path
+
+
+def _save(bitmap: PracticalBitmap, path: Path) -> None:
+    """Write bitmap to path beside it, then rename: readers never see a
+    partial file, and a failed save leaves no file at path."""
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         bitmap.save(tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # left only when the save failed
-    return bitmap, path
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +214,7 @@ def _cmd_sieve(args) -> dict:
     bitmap, path = _get_bitmap(args, args.limit)
     if args.out:
         path = Path(args.out)
-        bitmap.save(path)
+        _save(bitmap, path)
     return {"limit": args.limit, "count": bitmap.count(args.limit), "path": str(path)}
 
 

@@ -162,9 +162,23 @@ class QuadWitness:
     t_primes: tuple[int, ...]
 
 
-def _mq_primitive(q: QuadraticPoly, p: int):
-    """m_q(p) of primitive q: (exponent, FiniteWitness) or
-    (None, InfiniteWitness)."""
+def mq(q: QuadraticPoly, p: int) -> MqResult:
+    """m_q(p) with its justifying witness, for a prime p."""
+    if not _is_prime(p):
+        raise InvalidInput(f"p must be prime, got {p}")
+    return _mq(q, p)
+
+
+def _mq(q: QuadraticPoly, p: int) -> MqResult:
+    """mq for a p already known to be prime.
+
+    Content splits off exactly: m_q(p) = v_p(gcd(a,b,c)) + m for the
+    primitive part's m, and infinity is unaffected, so the lifting and the
+    witness are the primitive part's.
+    """
+    g = q.content
+    v = valuation(g, p) if g > 1 else 0
+    q = q.primitive()
     disc = q.discriminant
     if disc != 0:
         bound = valuation(disc, p) + valuation(4 * q.a, p) + 2
@@ -179,13 +193,13 @@ def _mq_primitive(q: QuadraticPoly, p: int):
             r = (-(q.b // scale) * pow(2 * q.a // scale, -1, mod // scale)) % (mod // scale)
             fv = q(r)
             level = valuation(fv, p) if fv else prec
-            return None, InfiniteWitness(
+            return MqResult(p, None, v, InfiniteWitness(
                 kind="double_root",
                 root=r,
                 level=level,
                 val_lead=v_lead,
                 val_lin=v_lin,
-            )
+            ))
         bound = 2 * v_lin + valuation(4 * q.a, p) + 2
     # Two roots of a class mod p are simple and lift to p-adic roots, so a
     # finite m_q splits along one chain of classes; the deepest class's rho
@@ -200,39 +214,20 @@ def _mq_primitive(q: QuadraticPoly, p: int):
             top, lvl = p, 1  # the least lvl >= 1 with rho < p^lvl
             while top <= rho:
                 top, lvl = top * p, lvl + 1
-            return None, InfiniteWitness(
+            return MqResult(p, None, v, InfiniteWitness(
                 kind="hensel",
                 root=rho,
                 level=lvl,
                 val_q=valuation(fv, p) if fv else None,
                 val_dq=valuation(dv, p) if dv else None,
-            )
+            ))
         if level == bound:  # mathematically unreachable; see module docstring
             raise FalsificationSignal(
                 f"root lifting for {q} mod {p} ran past its termination bound"
             )
         if level > m:
             m, root = level, rho
-    return m, FiniteWitness(root, m + 1)
-
-
-def mq(q: QuadraticPoly, p: int) -> MqResult:
-    """m_q(p) with its justifying witness, for a prime p."""
-    if not _is_prime(p):
-        raise InvalidInput(f"p must be prime, got {p}")
-    return _mq(q, p)
-
-
-def _mq(q: QuadraticPoly, p: int) -> MqResult:
-    """mq for a p already known to be prime.  Content splits off exactly:
-    m_q(p) = v_p(gcd(a,b,c)) + m for the primitive part's m, and infinity
-    is unaffected."""
-    g = q.content
-    v = valuation(g, p) if g > 1 else 0
-    exponent, witness = _mq_primitive(q.primitive(), p)
-    if exponent is None:
-        return MqResult(p=p, exponent=None, content_val=v, witness=witness)
-    return MqResult(p=p, exponent=v + exponent, content_val=v, witness=witness)
+    return MqResult(p, v + m, v, FiniteWitness(root, m + 1))
 
 
 def _classify(q: QuadraticPoly, primes) -> QuadClassification:
@@ -329,12 +324,17 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return x
 
 
-def _roots_mod_prime(q: QuadraticPoly, p: int) -> list[int]:
-    """All roots of q mod prime p, ascending; exhaustive for small p,
-    discriminant-based for large p."""
-    if p <= 30:
-        return [n for n in range(p) if q(n) % p == 0]
-    a, b, c = q.a % p, q.b % p, q.c % p
+def _roots_mod_prime(a: int, b: int, c: int, p: int) -> list[int]:
+    """All roots of a n^2 + b n + c mod prime p, ascending.
+
+    At an odd p they come from the linear formula when p divides a, else
+    from the quadratic formula with a Tonelli-Shanks square root.  That
+    formula divides by 2a, which is never invertible mod 2, so at p = 2
+    alone both residues are tried.
+    """
+    a, b, c = a % p, b % p, c % p
+    if p == 2:
+        return [n for n in (0, 1) if ((a * n + b) * n + c) % 2 == 0]
     if a == 0:
         if b == 0:
             return list(range(p)) if c == 0 else []
@@ -352,18 +352,18 @@ def _roots_mod_prime(q: QuadraticPoly, p: int) -> list[int]:
 def _roots_mod_prime_power(q: QuadraticPoly, p: int, k: int) -> list[int] | None:
     """The _ROOT_CAP smallest roots of q mod p^k, ascending; [] if none.
 
-    Returns None when the congruence is vacuous (the content alone covers
-    p^k), in which case divisibility holds for every n.  The roots are
-    the classes of `_class_split` that reach level k, however many roots
-    each holds.
+    The roots are the classes of `_class_split` that reach level k, however
+    many roots each holds.  Returns None when the congruence is vacuous: the
+    first (root) class already sits at level k, so the content alone covers
+    p^k and divisibility holds for every n.
     """
-    g = q.content
-    if k <= (valuation(g, p) if g > 1 else 0):
+    classes = _class_split(q, p, k)
+    if next(classes)[2] == k:
         return None
     top = p**k
     return sorted(
         n
-        for rho, step, level in _class_split(q, p, k)
+        for rho, step, level in classes
         if level == k
         for n in islice(range(rho, top, step), _ROOT_CAP)
     )[:_ROOT_CAP]
@@ -378,7 +378,7 @@ def _class_split(q: QuadraticPoly, p: int, k: int):
     level = k.  A class below level k splits on the roots r of g mod p:
     g(r + p y) = a p^2 y^2 + (2 a r + b) p y + g(r) has every coefficient
     divisible by p, so each child's level is higher and the split ends.  The
-    first class yielded is the root class (0, 1, v_p(content)).
+    first class yielded is the root class (0, 1, min(v_p(content), k)).
     """
     todo = [(q.a, q.b, q.c, 0, 1, 0)]
     for a, b, c, rho, step, level in todo:  # the loop reaches the appended classes
@@ -387,7 +387,7 @@ def _class_split(q: QuadraticPoly, p: int, k: int):
         yield rho, step, level
         if level == k:
             continue
-        for r in _roots_mod_prime(QuadraticPoly(a, b, c) if level else q, p):
+        for r in _roots_mod_prime(a, b, c, p):
             todo.append((a * p * p, (2 * a * r + b) * p, (a * r + b) * r + c,
                          rho + r * step, step * p, level))
 
@@ -425,19 +425,16 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
         mod_verdict = practical_from_factorization(Factorization(tuple(factors)))
         divisor = mod_verdict.n
         options: list[list[tuple[int, int]]] = []
-        solvable = True
         for p, e in factors:
             roots = _roots_mod_prime_power(q, p, e)
             if roots is None:
                 continue  # content alone covers p^e
             if not roots:
-                solvable = False
-                break
+                raise FalsificationSignal(
+                    f"missing root for a divisor of {q} despite its m_q value"
+                )
             options.append([(r, p**e) for r in roots])
-        if not solvable:
-            raise FalsificationSignal(
-                f"missing root for a divisor of {q} despite its m_q value"
-            )
+        # each root list is non-empty, so product() yields a combination
         best: tuple[int, int, int] | None = None
         for combo in islice(product(*options), _COMBO_CAP):
             n_star, period = crt_solve(combo)
@@ -450,12 +447,8 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
                 raise FalsificationSignal(f"CRT solution lost divisibility for {q}")
             if best is None or multiplier < best[0]:
                 best = (multiplier, n, value)
-        if (
-            best is not None
-            and mod_verdict.practical
-            and best[0] <= mod_verdict.sigma + 1
-        ):
-            multiplier, n, value = best
+        multiplier, n, value = best
+        if mod_verdict.practical and multiplier <= mod_verdict.sigma + 1:
             return QuadWitness(
                 n=n,
                 value=value,
@@ -468,7 +461,7 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
         if round_no % 2 == 0:
             k += 1
         else:
-            t_list.append(next(t for t in primes if _roots_mod_prime(q, t)))
+            t_list.append(next(t for t in primes if _roots_mod_prime(q.a, q.b, q.c, t)))
     raise BudgetExceeded(
         f"witness construction for {q} did not converge in {_WITNESS_ROUNDS} rounds"
         " (_WITNESS_ROUNDS)",

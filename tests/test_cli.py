@@ -214,6 +214,15 @@ def test_cache_write_is_atomic(capsys, tmp_path, monkeypatch):
     assert [p.name for p in cache.iterdir()] == ["practical-500.bits"]
     assert data["path"] == str(cache / "practical-500.bits")
 
+    # with the cache warm only --out is written, and a failed save leaves nothing there
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    with monkeypatch.context() as m:
+        m.setattr(PracticalBitmap, "save", failing_save)
+        code, out, err = run_cli(capsys, "sieve", "--limit", "500", "--out", str(out_dir / "p.bits"))
+    assert code == 2 and out == "" and "no space" in err
+    assert list(out_dir.iterdir()) == []
+
 
 def test_two_sieves_at_once_leave_one_loadable_entry(tmp_path):
     # both processes miss the empty cache, fill the same entry and write it

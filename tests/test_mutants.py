@@ -19,6 +19,8 @@ def test_ids_are_unique_and_files_are_code_or_tests():
     for entry in ENTRIES:
         assert entry["file"].split("/", 1)[0] in ("src", "tests"), entry["id"]
         assert entry["tests"], entry["id"]
+        if "survives" in entry:  # a known survivor says why it survives
+            assert isinstance(entry["survives"], str) and entry["survives"], entry["id"]
 
 
 def test_every_snippet_occurs_once_and_its_mutant_compiles():

@@ -164,7 +164,7 @@ def test_roots_mod_prime_power_matches_exhaustive_scan():
 
 
 def test_roots_mod_prime_matches_exhaustive_scan():
-    primes = [p for p in range(31, 102) if all(p % d for d in range(2, p))]
+    primes = [p for p in range(2, 102) if all(p % d for d in range(2, p))]
     rng = random.Random(31)
     for p in primes:
         polys = SMALL_GRID + [
@@ -174,9 +174,7 @@ def test_roots_mod_prime_matches_exhaustive_scan():
             for _ in range(40)
         ]
         for a, b, c in polys:
-            assert _roots_mod_prime(QuadraticPoly(a, b, c), p) == _exhaustive_roots(
-                a, b, c, p
-            ), (a, b, c, p)
+            assert _roots_mod_prime(a, b, c, p) == _exhaustive_roots(a, b, c, p), (a, b, c, p)
 
 
 def test_mq_content_split():

@@ -5,7 +5,9 @@
 Each entry of the JSON catalogue tools/mutants.json names a file under src/
 or tests/, a snippet that occurs in it exactly once, the snippet's
 replacement, the test node ids expected to fail, and the parent commit of
-the change that added the entry ("base").
+the change that added the entry ("base").  An entry may also carry
+"survives", the reason a known survivor passes its tests (the tests it
+names are then the ones it passes).
 
 The entries' tests first run once on an unmutated copy of src/, tests/ and
 pyproject.toml in a temporary directory; unless they all pass, the tool
@@ -14,7 +16,9 @@ only the entry's tests run, under a timeout (TIMEOUT, 300 s).  The tool
 prints one line per mutant: caught (a test failed, collection broke, or the
 run hung past the timeout), survived (every test passed), stale (the snippet
 does not occur exactly once) or error (any other pytest exit code, such as
-an unknown test id).  It exits 1 unless every mutant is caught.
+an unknown test id).  A known survivor that survives prints as "known"; one
+that is caught prints as caught, with a note to drop its "survives".  The
+tool exits 1 unless each mutant is caught or, if a known survivor, survives.
 Standard library only; pytest must be importable by the running Python.
 """
 
@@ -99,8 +103,13 @@ def main(argv: list[str] | None = None) -> int:
     bad = 0
     for entry in entries:
         outcome, seconds = run(entry["tests"], entry)
-        bad += outcome != "caught"
-        print(f"{outcome:9} {entry['id']}  {seconds:.1f} s", flush=True)
+        known, note = "survives" in entry, ""
+        if known and outcome == "survived":
+            outcome, note = "known", f"  ({entry['survives']})"
+        elif known and outcome == "caught":
+            note = '  (a known survivor is caught: drop its "survives")'
+        bad += outcome != ("known" if known else "caught")
+        print(f"{outcome:9} {entry['id']}  {seconds:.1f} s{note}", flush=True)
     return 1 if bad else 0
 
 
