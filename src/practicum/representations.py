@@ -6,12 +6,13 @@ odd x <= 2^m - 1 whose square matches n modulo 2^(m+2), leaving
 P = 2^(m+2) s with s <= 2^m, practical because s <= sigma(2^(m+2)) + 1.
 
 For every other residue j mod 8 (j != 1) a congruence class exists whose
-members are never a square plus a practical number; verify_not_representable
-checks that exhaustively for any single m.  Goldbach-style facts (every
-even number is a sum of two practical numbers; practical triples m-2, m,
-m+2) are verified against the sieve, and the chain 88, 8888, 88888888, ...
-yields arbitrarily large palindromic practical numbers certified without
-ever factoring them.
+members are never a square plus a practical number: family_spec checks the
+local obstruction its congruences force and derives from them the squares
+to drop, and verify_not_representable checks any single m exhaustively.
+Goldbach-style facts (every even number is a sum of two practical numbers;
+practical triples m-2, m, m+2) are verified against the sieve, and the
+chain 88, 8888, 88888888, ... yields arbitrarily large palindromic
+practical numbers certified without ever factoring them.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ NON_REPRESENTABLE_J = (0, 2, 3, 4, 5, 6, 7)
 _FAMILY_COUNT_CAP = 10**5
 _PALINDROMIC_COUNT_CAP = 20
 
-# Congruence systems whose members m are never x^2 + practical: each class
-# forces v2(m - x^2) below the useful range while the listed odd primes
-# never divide m - x^2.
 _FAMILY_CONGRUENCES = {
     0: ((24, 32), (2, 3), (2, 5), (6, 7), (10, 11), (2, 13)),
     4: ((12, 16), (2, 3), (2, 5), (6, 7), (10, 11), (2, 13)),
@@ -52,20 +50,6 @@ _FAMILY_CONGRUENCES = {
     3: ((11, 24),),
     6: ((14, 24),),
     7: ((23, 24),),
-}
-
-# The mod-24 classes block every practical remainder m - x^2 except the
-# listed offsets (1 and 2 are practical, have trivial odd part, and their
-# 2-adic valuation fits under the class's ceiling), so members where m - o
-# is a perfect square must be dropped.  For j = 7 neither m-1 nor m-2 can
-# be a square (6 and 5 mod 8 are non-residues); the mod-32/16 systems of
-# j = 0, 4, 5 exclude 1, 2, 4 and 8 outright (checked exhaustively in the
-# tests).  Without the offset-2 exclusion the j = 2, 3, 6 classes leak:
-# 11 = 3^2 + 2, 38 = 6^2 + 2, 146 = 12^2 + 2.
-_FAMILY_SQUARE_EXCLUSIONS = {
-    2: (1, 2),
-    3: (2,),
-    6: (2,),
 }
 
 
@@ -151,20 +135,37 @@ def decompose_square_plus_practical(n: int) -> SquareDecomposition:
 
 
 def family_spec(j: int) -> FamilySpec:
-    """The non-representable congruence family for residue class j mod 8."""
+    """The non-representable congruence family for residue class j mod 8.
+
+    Its exclusions follow from its congruences by one local obstruction.
+    With modulus 2^a * M' (M' odd) and residue r, let V be the 2-adic
+    valuations of r - x^2 mod 2^a over every x; none of those rests may be
+    0 mod 2^a.  Every odd prime p <= 2^(max V + 1) must divide M', with r
+    a non-residue mod p.  Then for a member m, N = m - x^2 has v2(N) = v in
+    V and no odd prime factor <= 2^(v + 1) = sigma(2^v) + 1, so by
+    Stewart's criterion N is practical only when N = 2^v.  The exclusions
+    are the 2^v for which r - 2^v is a square modulo every congruence
+    modulus.  As the moduli are pairwise coprime, these are exactly the
+    2^v with m - 2^v a perfect square for some member m.  A family whose
+    congruences do not force the obstruction raises FalsificationSignal.
+    """
     if j not in _FAMILY_CONGRUENCES:
         if j == 1:
             raise InvalidInput("every number 1 mod 8 is a square plus a practical number")
         raise InvalidInput(f"j must be in {NON_REPRESENTABLE_J}, got {j}")
     congruences = _FAMILY_CONGRUENCES[j]
     residue, modulus = crt_solve(congruences)
-    return FamilySpec(
-        j=j,
-        congruences=congruences,
-        residue=residue,
-        modulus=modulus,
-        square_exclusions=_FAMILY_SQUARE_EXCLUSIONS.get(j, ()),
-    )
+    two = modulus & -modulus  # 2^a
+    rests = {(residue - x * x) % two for x in range(two)}
+    if 0 in rests:
+        raise FalsificationSignal(f"family {j}: m - x^2 can be 0 mod {two}")
+    powers = sorted({c & -c for c in rests})  # 2^v for v in V
+    for p in range(3, 2 * powers[-1] + 1, 2):  # the odd primes <= 2^(max V + 1), by trial
+        if all(p % d for d in range(3, p, 2)) and (modulus % p or pow(residue, p // 2, p) != p - 1):
+            raise FalsificationSignal(f"family {j}: no non-residue is fixed mod {p}")
+    exclusions = tuple(o for o in powers if all(
+        any((residue - o - x * x) % q == 0 for x in range(q)) for _, q in congruences))
+    return FamilySpec(j, congruences, residue, modulus, exclusions)
 
 
 def family_stream(j: int, count: int) -> list[int]:
@@ -173,7 +174,7 @@ def family_stream(j: int, count: int) -> list[int]:
         raise InvalidInput(f"count {count} is not in 1..{_FAMILY_COUNT_CAP} (_FAMILY_COUNT_CAP)")
     spec = family_spec(j)
     members = []
-    m = spec.residue if spec.residue >= 1 else spec.residue + spec.modulus
+    m = spec.residue
     while len(members) < count:
         if not any(_is_square(m - o) for o in spec.square_exclusions):
             members.append(m)

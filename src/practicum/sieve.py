@@ -52,7 +52,7 @@ class PracticalBitmap:
     `bits` is the packed bit array of the file format, (limit + 8) // 8
     bytes with bit 0 clear: n is practical when bit n % 8 of byte n // 8
     is set.  `PracticalBitmap(flags)` packs a bool array indexed by n and
-    keeps it as `flags`; `load` and `save` copy the bytes as they are.
+    keeps only the bits; `load` and `save` copy the bytes as they are.
     """
 
     def __init__(self, flags: np.ndarray):
@@ -60,7 +60,7 @@ class PracticalBitmap:
 
         self.limit = len(flags) - 1
         self.bits = np.packbits(flags, bitorder="little").tobytes()
-        self._flags = flags
+        self._flags = None
 
     def __contains__(self, n: int) -> bool:
         if not 1 <= n <= self.limit:
@@ -69,9 +69,9 @@ class PracticalBitmap:
 
     @property
     def flags(self) -> np.ndarray:
-        """Bool array indexed by n (entry 0 is always False): the array the
-        bitmap was built from, else unpacked from `bits` on first use.
-        Writing to it leaves `bits` as it was."""
+        """Bool array indexed by n (entry 0 is always False), unpacked from
+        `bits` on first use and kept.  Writing to it leaves `bits` as it
+        was."""
         if self._flags is None:
             import numpy as np
 

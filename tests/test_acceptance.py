@@ -32,12 +32,15 @@ from practicum import (
     density_report,
     verify_not_representable,
 )
+from practicum.representations import NON_REPRESENTABLE_J, _set_bits
 from helpers import mq_oracle
 
 # computed once by the sieve and frozen; spot-checked by the oracle below
 PRACTICAL_COUNT_1E6 = 97385
 # frozen after the segmented sieve and the tree walk agreed on it
 PRACTICAL_COUNT_1E7 = 829157
+# the m <= 10^6 that are not x^2 + practical, by class mod 8 (a shift-OR census)
+EXCEPTIONS_1E6_BY_CLASS = (738, 0, 42273, 42526, 754, 7089, 42594, 42699)
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +203,36 @@ def test_criterion_6_families_not_representable():
 def test_criterion_6_uncorrected_family_start_11():
     assert verify_not_representable(11).not_representable
     assert family_stream(3, 1)[0] == 11
+
+
+def test_criterion_6_census_of_the_exceptions_to_1e6(bitmap_1e6):
+    """Every m <= 10^6 that is not x^2 + practical, from the bitmap alone:
+    none is 1 mod 8 (the 8k+1 theorem, independently of the decomposition),
+    the counts per class are frozen, every family member is among them, and
+    below 10^4 they are exactly what the exhaustive search finds."""
+    start = time.perf_counter()
+    limit = 10**6
+    practical = bitmap_1e6.as_int(limit)
+    reached = 0  # bit m: m = x^2 + a practical number
+    for x in range(math.isqrt(limit) + 1):
+        reached |= practical << x * x
+    exceptions = _set_bits(~reached & (1 << limit + 1) - 2)
+    by_class = [0] * 8
+    for m in exceptions:
+        by_class[m % 8] += 1
+    assert by_class[1] == 0  # every n = 1 (mod 8) is x^2 + practical
+    assert tuple(by_class) == EXCEPTIONS_1E6_BY_CLASS
+    assert len(exceptions) == 178673
+    assert exceptions[:8] == [14, 23, 35, 47, 59, 62, 71, 74]
+    found = set(exceptions)
+    members = [m for j in NON_REPRESENTABLE_J for m in family_stream(j, 2000) if m <= limit]
+    assert len(members) == 9196 and found.issuperset(members)
+    small = [m for m in range(1, 10**4) if verify_not_representable(m).not_representable]
+    assert len(small) == 1714 and small == [m for m in exceptions if m < 10**4]
+    elapsed = time.perf_counter() - start
+    print(f"\nACCEPTANCE 6: PASS - {len(exceptions)} m <= 1e6 are not x^2 + practical, "
+          f"none 1 mod 8; {len(members)} family members among them; the search agrees "
+          f"below 1e4, {elapsed:.1f}s")
 
 
 def test_criterion_7_pairs_and_triples(bitmap_1e6):

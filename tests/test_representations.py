@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import sqrt_mod_power_of_two_doubling
 from practicum import (
+    FalsificationSignal,
     InvalidInput,
+    crt_solve,
     decompose_square_plus_practical,
     family_spec,
     family_stream,
@@ -24,6 +26,7 @@ from practicum import (
 from practicum import representations
 from practicum.cli import main
 from practicum.practical import MultiplierCertificate
+from practicum.representations import NON_REPRESENTABLE_J
 
 
 def test_power2_practical_examples():
@@ -190,6 +193,111 @@ def test_family_soundness_first_members():
     for j in (0, 2, 3, 4, 5, 6, 7):
         for m in family_stream(j, 10):
             assert verify_not_representable(m).not_representable, (j, m)
+
+
+# the square exclusions once written out by hand beside the congruences
+_FORMER_EXCLUSIONS = {0: (), 2: (1, 2), 3: (2,), 4: (), 5: (), 6: (2,), 7: ()}
+
+
+def _squares(q):
+    return {x * x % q for x in range(q)}
+
+
+def _obstruction(congruences):
+    """The local-obstruction rule restated from its definition: the offsets
+    2^v a family must drop, or None when its congruences do not keep every
+    m - x^2 from being practical."""
+    r, modulus = crt_solve(congruences)
+    a = 0
+    while modulus % 2 ** (a + 1) == 0:
+        a += 1
+    valuations = set()
+    for x in range(2**a):
+        rest = (r - x * x) % 2**a
+        if rest == 0:
+            return None
+        valuations.add(min(v for v in range(a) if rest % 2 ** (v + 1)))
+    for p in range(3, 2 ** (max(valuations) + 1) + 1):
+        if all(p % d for d in range(2, p)) and (modulus % p or r % p in _squares(p)):
+            return None
+    return tuple(2**v for v in sorted(valuations)
+                 if all((r - 2**v) % q in _squares(q) for _, q in congruences))
+
+
+def test_derived_exclusions_equal_the_former_table():
+    for j in NON_REPRESENTABLE_J:
+        spec = family_spec(j)
+        assert spec.square_exclusions == _obstruction(spec.congruences) == _FORMER_EXCLUSIONS[j], j
+
+
+def test_a_residue_in_place_of_any_odd_congruence_breaks_the_rule(monkeypatch):
+    """Every odd prime of every shipped family is needed with a non-residue:
+    a residue (0 included) there in its place makes family_spec raise,
+    naming that prime."""
+    cases = 0
+    for j in NON_REPRESENTABLE_J:
+        congruences = family_spec(j).congruences
+        for i, (r, q) in enumerate(congruences):
+            for p in (p for p in (3, 5, 7, 11, 13) if q % p == 0):
+                for s in _squares(p):
+                    swapped = s if q == p else crt_solve([(r % (q // p), q // p), (s, p)])[0]
+                    changed = congruences[:i] + ((swapped, q),) + congruences[i + 1:]
+                    monkeypatch.setitem(representations._FAMILY_CONGRUENCES, j, changed)
+                    with pytest.raises(FalsificationSignal, match=rf"mod {p}$"):
+                        family_spec(j)
+                    cases += 1
+    assert cases == 2 * 22 + 9 + 4 * 2
+
+
+def test_congruences_that_force_no_obstruction_raise(monkeypatch):
+    for congruences, named in [
+        (((1, 8), (2, 3), (2, 5), (3, 7)), "0 mod 8"),  # 1 - 1^2 = 0: v2(m - 1) is unbounded
+        (((4, 16), (2, 3), (2, 5), (3, 7)), "0 mod 16"),
+        (((2, 3), (2, 5)), "0 mod 1"),  # no power of 2 fixed at all
+        (((5, 8), (2, 3), (2, 5)), "mod 7"),  # its member 77 = 7^2 + 4 * 7
+        (((5, 8), (2, 3), (2, 5), (2, 7)), "mod 7"),  # 2 = 3^2 mod 7
+    ]:
+        assert _obstruction(congruences) is None
+        monkeypatch.setitem(representations._FAMILY_CONGRUENCES, 5, congruences)
+        with pytest.raises(FalsificationSignal, match=named):
+            family_spec(5)
+        with pytest.raises(FalsificationSignal):
+            family_stream(5, 1)
+
+
+def _random_systems(count, seed):
+    """Systems of 2^a (3 <= a <= 6) and each of 3, 5, 7, 11 and 13 with
+    probability 0.7, all with random residues."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = rng.randint(3, 6)
+        system = [(rng.randrange(2**a), 2**a)]
+        system += [(rng.randrange(p), p) for p in (3, 5, 7, 11, 13) if rng.random() < 0.7]
+        yield tuple(system)
+
+
+def test_random_families_follow_the_rule(monkeypatch):
+    """Against the restated rule and the exhaustive search: a family that
+    passes drops exactly the rule's offsets and its first six members are
+    never x^2 + practical; one that fails raises, and one of its first
+    three class members is x^2 + practical."""
+    passed = 0
+    for congruences in _random_systems(3000, seed=1):
+        monkeypatch.setitem(representations._FAMILY_CONGRUENCES, 0, congruences)
+        expected = _obstruction(congruences)
+        if expected is None:
+            with pytest.raises(FalsificationSignal):
+                family_spec(0)
+            r, modulus = crt_solve(congruences)
+            first = [r + k * modulus for k in range(3) if r + k * modulus]
+            representable = [m for m in first if not verify_not_representable(m).not_representable]
+            assert representable, congruences
+            continue
+        passed += 1
+        assert family_spec(0).square_exclusions == expected, congruences
+        for m in family_stream(0, 6):
+            assert verify_not_representable(m).not_representable, (congruences, m)
+    assert passed == 392
 
 
 def test_goldbach_examples():

@@ -208,6 +208,18 @@ def test_walk_memory_stays_within_its_budget(monkeypatch):
     assert count_practicals(10**4, bitmap) == 1456  # a covering bitmap needs no walk
 
 
+def test_a_built_bitmap_holds_only_its_bits():
+    sieve_practicals(100)  # imports and caches made before tracing starts
+    tracemalloc.start()
+    try:
+        bitmap = sieve_practicals(10**6)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * len(bitmap.bits), held  # not the fill's bool array, 8x the bits
+    assert int(bitmap.flags.sum()) == bitmap.count() == 97385  # unpacked on first use
+
+
 def test_fill_memory_stays_within_its_budget():
     for x in (10**4, 10**6, 10**7):
         # the bool array, its packed bits, their bytes copy and the walk
