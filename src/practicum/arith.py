@@ -5,10 +5,13 @@ up to _TRIAL_BOUND, then Pollard-Brent, under a work limit that
 factor_budget sets for a scope), divisor sums, p-adic valuations, a CRT
 solver that accepts non-coprime moduli and the one way primes are
 produced: the pure-Python sieve _sieve, whose windows prime_stream walks
-under the same work limit and whose one window to a bound gives primes_upto
-a numpy prime table and the trial stage its table.  _is_prime
-(Miller-Rabin, proven below psi_13 ~ 3.3 * 10^24, Baillie-PSW above) tests
-cofactors and primes given as input.
+under the same work limit, whose one window to a bound gives primes_upto
+a numpy prime table and the trial stage its fixed table of primes and
+block products, and whose small windows give representations' family rule
+its odd primes.  _is_prime (Miller-Rabin, proven below psi_13 ~ 3.3 *
+10^24, Baillie-PSW above) tests cofactors and primes given as input;
+_jacobi and _is_square are the package's one Jacobi symbol and one square
+test.
 Everything here works on arbitrary-precision ints; only the prime table is
 machine-word sized.
 """
@@ -91,9 +94,6 @@ class Factorization:
     def __iter__(self):
         return iter(self.factors)
 
-    def __len__(self):
-        return len(self.factors)
-
 
 def sigma_prime_power(p: int, e: int) -> int:
     """sigma(p^e) = (p^(e+1) - 1) / (p - 1)."""
@@ -150,6 +150,14 @@ def _is_prime(n: int) -> bool:
     return n < _PSI_13 or _strong_lucas(n)
 
 
+def _is_square(n: int) -> bool:
+    """Whether n is a perfect square; no negative n is."""
+    if n < 0:
+        return False
+    r = math.isqrt(n)
+    return r * r == n
+
+
 def _jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n > 0."""
     a %= n
@@ -170,7 +178,7 @@ def _strong_lucas(n: int) -> bool:
     """Strong Lucas probable-prime test of odd n > 41 with Selfridge's
     parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
     Q = (1 - D) / 4."""
-    if math.isqrt(n) ** 2 == n:
+    if _is_square(n):
         return False  # no D would ever qualify
     D = 5
     while (j := _jacobi(D, n)) == 1:
@@ -202,30 +210,23 @@ def _strong_lucas(n: int) -> bool:
 # Trial division runs over _trial_table(_TRIAL_BOUND), the primes 2, 3, 5, ...
 # through the first prime above the bound from one _sieve window, made once
 # per bound and never changed.  Each block of _BLOCK primes is tested by one
-# gcd with its product, kept in the table's own dict once made: the primes up
-# to 65537, the first past the default bound, fill 26 blocks.
+# gcd with its product, made with the table: the primes up to 65537, the
+# first past the default bound, fill 26 blocks.
 _BLOCK = 256
 _WALK = 16  # primes tried one by one before a gcd clears the rest of a block
 
 
 @functools.cache
-def _trial_table(bound: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The primes through the first one above bound, and the products of
-    their blocks, which _block_product adds as walks reach them."""
+def _trial_table(bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The primes through the first one above bound, and the product of
+    each block of them: block b is primes[b * _BLOCK:(b + 1) * _BLOCK]."""
     hi = bound + 2  # for the default bound, a window to 65537
     while True:
         primes = (2, *compress(range(3, hi, 2), _sieve(2, hi)[1::2]))  # 2 and the odd primes < hi
         if primes[-1] > bound:
-            return primes[:bisect_right(primes, bound) + 1], {}
+            primes = primes[:bisect_right(primes, bound) + 1]
+            return primes, tuple(math.prod(primes[i:i + _BLOCK]) for i in range(0, len(primes), _BLOCK))
         hi *= 2  # (bound, 2 * bound] holds a prime
-
-
-def _block_product(b: int, primes: tuple[int, ...], products: dict[int, int]) -> int:
-    """Product of block b of a trial table's primes, kept in its products."""
-    product = products.get(b)
-    if product is None:
-        product = products[b] = math.prod(primes[b * _BLOCK:(b + 1) * _BLOCK])
-    return product
 
 
 class _WorkMeter:
@@ -291,8 +292,10 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
     error names n, not the cofactor left.
     A caller walking Stewart's chain sends its bound sigma(prefix) + 1 after
     each step (cap is the first; next() keeps it).  Once the next untried
-    prime d passes the bound while the cofactor is not 1, (d, 0) stands for
-    the primes left, which all exceed it.
+    prime passes the bound while the cofactor is not 1, the last pair is
+    (cofactor, 1): every prime of the cofactor exceeds the bound, so it
+    fails the bound as its least prime would.  Without a cap, every pair
+    is a prime power.
     """
     trial_bound, work_limit, asked = _TRIAL_BOUND, _work_limit.get(), n
     primes, products = _trial_table(trial_bound)
@@ -302,7 +305,7 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
         d = primes[j]  # the table's last prime passes trial_bound, so j never passes it
         if d * d > n or d > cap:  # n is 1 or prime, or its primes all pass the bound
             if n > 1:
-                yield (n, 1) if d * d > n else (d, 0)
+                yield n, 1
             return
         if d > trial_bound:
             break
@@ -310,7 +313,7 @@ def _prime_powers(n: int, cap: float = math.inf) -> Generator[tuple[int, int], i
             if j == work_limit:  # prime j would cost one unit more than the limit
                 raise _out_of_work(f"factoring {asked}", work_limit, j + 1)
             block_end = (j // _BLOCK + 1) * _BLOCK
-            if math.gcd(n, _block_product(j // _BLOCK, primes, products)) == 1:  # none in it divides n
+            if math.gcd(n, products[j // _BLOCK]) == 1:  # none in it divides n
                 stop = bisect_right(primes, min(math.isqrt(n), trial_bound, cap))
                 j = walk_end = min(stop, block_end, work_limit)
                 continue

@@ -101,7 +101,8 @@ class PracticalityVerdict:
 def _walk(powers: Iterator[tuple[int, int]], chain: list | None = None) -> tuple[int, int] | None:
     """Stewart's comparisons over prime powers in increasing order.  Sends each bound
     sigma(prefix) + 1 back, so a lazy source can stop once no untried prime passes;
-    extends chain if given one; returns the first failing (prime, bound), else None."""
+    extends chain if given one; returns the first failing pair's base (the prime,
+    or under a cap the cofactor) with its bound, else None."""
     running = 1
     try:
         p, e = next(powers)

@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import Factorization, factorize, sigma
+from .arith import Factorization, _prime_powers, factorize, sigma
 from .errors import BudgetExceeded, FalsificationSignal, InvalidInput
 from .practical import (
     DEFAULT_SCAN_BOUND,
     Evidence,
     PracticalityVerdict,
+    _walk,
     certify_product,
     is_practical,
     is_practical_quick,
@@ -74,15 +75,19 @@ class PolyWitness:
 def classify_ap(a: int, b: int) -> APClassification:
     """Decide the trichotomy for a*n + b.
 
-    Both coefficients must be positive.  The least m >= 2 coprime to a/d is
-    the least prime missing a/d, since each prime factor of m is at most m
-    and coprime to a/d; the case is infinite when m <= sigma(d) + 1.
+    Both coefficients must be positive.  d and sigma(d) come from
+    Stewart's walk over the least prime powers of gcd(a, b), which stops at
+    the first prime past sigma(d) + 1 without factoring what is left.  The
+    least m >= 2 coprime to a/d is the least prime missing a/d, since each
+    prime factor of m is at most m and coprime to a/d; the case is infinite
+    when m <= sigma(d) + 1.
     """
     if a < 1 or b < 1:
         raise InvalidInput(f"classify_ap requires positive a, b; got ({a}, {b})")
-    verdict = is_practical(math.gcd(a, b))
-    d = verdict.prefix  # the largest practical divisor of gcd(a, b)
-    bound = verdict.sigma + 1
+    chain: list[tuple[int, int, int]] = []
+    _walk(_prime_powers(math.gcd(a, b), 2), chain)
+    d = math.prod(p**e for p, e, _ in chain)  # the largest practical divisor of gcd(a, b)
+    bound = chain[-1][2] + 1 if chain else 2
     a1 = a // d
     m = 2
     while m <= bound and math.gcd(m, a1) > 1:

@@ -294,10 +294,8 @@ def quad_practical_stream(
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int:
-    """Square root mod odd prime p; a must be 0 or a quadratic residue."""
+    """Square root mod odd prime p; a must be a quadratic residue prime to p."""
     a %= p
-    if a == 0:
-        return 0
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
     q, s = p - 1, 0

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING
 
-from .arith import Factorization, crt_solve
+from .arith import Factorization, _is_square, _jacobi, _sieve, crt_solve
 from .errors import FalsificationSignal, InvalidInput
 from .practical import (
     MultiplierCertificate,
@@ -160,8 +161,9 @@ def family_spec(j: int) -> FamilySpec:
     if 0 in rests:
         raise FalsificationSignal(f"family {j}: m - x^2 can be 0 mod {two}")
     powers = sorted({c & -c for c in rests})  # 2^v for v in V
-    for p in range(3, 2 * powers[-1] + 1, 2):  # the odd primes <= 2^(max V + 1), by trial
-        if all(p % d for d in range(3, p, 2)) and (modulus % p or pow(residue, p // 2, p) != p - 1):
+    top = 2 * powers[-1] + 1
+    for p in compress(range(3, top), _sieve(3, top)):  # the odd primes <= 2^(max V + 1)
+        if modulus % p or _jacobi(residue, p) != -1:
             raise FalsificationSignal(f"family {j}: no non-residue is fixed mod {p}")
     exclusions = tuple(o for o in powers if all(
         any((residue - o - x * x) % q == 0 for x in range(q)) for _, q in congruences))
@@ -180,13 +182,6 @@ def family_stream(j: int, count: int) -> list[int]:
             members.append(m)
         m += spec.modulus
     return members
-
-
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
 
 
 def verify_not_representable(m: int) -> RepresentationTrace:

@@ -93,3 +93,38 @@ def sqrt_mod_power_of_two_doubling(m: int, k: int) -> int:
         if (x * x - m) % (1 << (s + 3)):
             x = (1 << (s + 1)) - x
     return x
+
+
+def stewart_sieve_bits(limit: int, window: int = 1 << 20) -> bytes:
+    """Packed flags of the practical n <= limit (bit n % 8 of byte n // 8),
+    by Stewart's criterion on windows of `window` integers.
+
+    In each window, every even n has its primes p <= isqrt(n) divided out
+    in increasing order; at each multiple p must be at most sigma(the part
+    removed so far) + 1, and the cofactor left, 1 or a prime, must be too.
+    An odd n > 1 fails at its least prime, which exceeds sigma(1) + 1.  No
+    tree, no prime-counting table and no int64 isqrt: the primes come from
+    trial division and numpy only divides.
+    """
+    primes = [p for p in range(2, math.isqrt(limit) + 1) if is_prime_trial(p)]
+    flags = np.zeros(limit + 1, dtype=bool)
+    flags[1:2] = True
+    for k0 in range(1, limit // 2 + 1, window // 2):  # the window's evens are 2k, k >= k0
+        n = 2 * np.arange(k0, min(k0 + window // 2, limit // 2 + 1), dtype=np.int64)
+        rem, sig, ok = n.copy(), np.ones_like(n), np.ones(len(n), dtype=bool)
+        for p in primes:
+            if p * p > n[-1]:
+                break
+            idx = np.arange(0 if p == 2 else -k0 % p, len(n), 1 if p == 2 else p)  # p | n
+            ok[idx] &= p <= sig[idx] + 1
+            rem[idx] //= p
+            term = np.full(len(idx), p, dtype=np.int64)  # p^e
+            part = 1 + term  # sigma(p^e)
+            at = np.arange(len(idx))
+            while (at := at[rem[idx[at]] % p == 0]).size:
+                rem[idx[at]] //= p
+                term[at] *= p
+                part[at] += term[at]
+            sig[idx] *= part
+        flags[n] = ok & (rem <= sig + 1)
+    return np.packbits(flags, bitorder="little").tobytes()

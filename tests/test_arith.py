@@ -367,8 +367,8 @@ def test_a_walk_finishes_on_its_own_table_while_another_is_made(monkeypatch):
     assert arith._trial_table(100)[0] == _P()[:26]
     assert list(walk) == [(1_000_000_007, 1), (1_000_000_009, 1)]
     assert arith._trial_table(_TB)[0] is primes
-    assert products == {b: math.prod(primes[b * arith._BLOCK:(b + 1) * arith._BLOCK])
-                        for b in range(26)}
+    assert products == tuple(math.prod(primes[b * arith._BLOCK:(b + 1) * arith._BLOCK])
+                             for b in range(26))
 
 
 def test_trial_bound_on_between_and_inside_blocks():
@@ -402,23 +402,41 @@ def test_square_of_the_first_candidate_above_the_trial_bound():
                 (q, 2), (1_000_003, 1))
 
 
-def test_block_product_cache_stays_bounded():
-    # every input walks each block up to the trial bound and none past it;
-    # the default table holds the 6,543 primes through 65537, in 26 blocks
+def _record_block_reads(monkeypatch) -> list[int]:
+    """Make _trial_table hand out its block products in a tuple that
+    records each index read; returns the list of those reads."""
+    reads = []
+
+    class Recorder(tuple):
+        def __getitem__(self, b):
+            reads.append(b)
+            return tuple.__getitem__(self, b)
+
+    table = arith._trial_table
+    monkeypatch.setattr(arith, "_trial_table",
+                        lambda bound: (table(bound)[0], Recorder(table(bound)[1])))
+    return reads
+
+
+def test_block_product_cache_stays_bounded(monkeypatch):
+    # the default table holds the 6,543 primes through 65537 and the products
+    # of their 26 blocks; every input walks each block up to the trial bound
+    # and none past it
     primes, products = arith._trial_table(arith._TRIAL_BOUND)
     assert len(primes) == 6543 and primes[-1] == 65537
+    assert products == tuple(math.prod(primes[b * arith._BLOCK:(b + 1) * arith._BLOCK])
+                             for b in range(26))
+    reads = _record_block_reads(monkeypatch)
     for n in (65537 * 65539, 1_000_003 * 1_000_033**2, 10**30 + 57):
+        reads.clear()
         factorize(n)
-        assert sorted(products) == list(range(26)), n
+        assert sorted(set(reads)) == list(range(26)), n
 
 
 def test_the_walk_returns_to_block_gcds_after_a_factor(monkeypatch):
     # a factor found while a flagged block is walked prime by prime restarts
     # the count of _WALK primes, after which one gcd tests the rest of the block
-    blocks = []
-    product = arith._block_product
-    monkeypatch.setattr(arith, "_block_product",
-                        lambda b, *table: blocks.append(b) or product(b, *table))
+    blocks = _record_block_reads(monkeypatch)
     p = _P()[arith._BLOCK + 10]
     assert factorize(p * 1_000_000_007 * 1_000_000_009).factors == (
         (p, 1), (1_000_000_007, 1), (1_000_000_009, 1))

@@ -541,12 +541,16 @@ def test_every_raise_hint_names_a_live_option():
 
 # 1000003 * 1000033: no factor within 10 units of factoring work
 _SEMIPRIME = "1000036000099"
+# 2^20 * 1000003 * 1000033 and 2^24 * 1000003 * 1000033: sigma(2^20) + 1 > 10^6,
+# so Stewart's walk over gcd(a, b) must reach the semiprime's primes
+_WIDE_GCD = str(2**20 * int(_SEMIPRIME))
+_WIDER_GCD = str(2**24 * int(_SEMIPRIME))
 
 
 @pytest.mark.parametrize("argv", [
-    ["ap", "classify", _SEMIPRIME, _SEMIPRIME],
+    ["ap", "classify", _WIDER_GCD, _WIDER_GCD],
     ["ap", "stream", _SEMIPRIME, _SEMIPRIME, "--count", "1"],
-    ["ap", "witness", _SEMIPRIME, _SEMIPRIME, "--min", "5"],
+    ["ap", "witness", _WIDE_GCD, _WIDE_GCD, "--min", "5"],
     ["poly", "witness", f"0,{_SEMIPRIME}"],
 ], ids=" ".join)
 def test_factor_work_reaches_every_command_that_factors(capsys, argv):
@@ -570,9 +574,9 @@ def test_factor_work_error_names_the_number_asked_about(capsys, limit, n):
 # than one unit of factoring work.
 _NEEDS_FACTORING = {
     "test": ["test", _SEMIPRIME],
-    "ap classify": ["ap", "classify", _SEMIPRIME, _SEMIPRIME],
+    "ap classify": ["ap", "classify", _WIDER_GCD, _WIDER_GCD],
     "ap stream": ["ap", "stream", _SEMIPRIME, _SEMIPRIME, "--count", "1"],
-    "ap witness": ["ap", "witness", _SEMIPRIME, _SEMIPRIME, "--min", "5"],
+    "ap witness": ["ap", "witness", _WIDE_GCD, _WIDE_GCD, "--min", "5"],
     "poly witness": ["poly", "witness", f"0,{_SEMIPRIME}"],
     # q(1) = 2^20 * 1000003 * 1000033, and sigma(2^20) + 1 > 10^6
     "quad stream": ["quad", "stream", "1", "0", str(2**20 * int(_SEMIPRIME) - 1), "--count", "1"],

@@ -10,7 +10,9 @@ directory and cache directory.  Refactors must leave each of them unchanged.
 
 import json
 import os
+import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +75,48 @@ def test_bitmap_free_commands_run_without_numpy(tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
+def _other_pythons() -> list[str]:
+    """One interpreter per minor version 3.N, N >= 10, other than the running
+    one's: a ~/.pyenv/versions/3.N.*/bin/python3, else python3.N on PATH,
+    each kept only if it starts and reports that version."""
+    candidates: dict[int, list[str]] = {}
+    for exe in sorted(Path.home().glob(".pyenv/versions/3.*/bin/python3"), reverse=True):
+        minor = re.fullmatch(r"3\.(\d+)\..*", exe.parent.parent.name)
+        if minor:
+            candidates.setdefault(int(minor[1]), []).append(str(exe))
+    for folder in os.environ.get("PATH", "").split(os.pathsep):
+        for exe in Path(folder or ".").glob("python3.*"):
+            minor = re.fullmatch(r"python3\.(\d+)", exe.name)
+            if minor:
+                candidates.setdefault(int(minor[1]), []).append(str(exe))
+    found = []
+    for minor, exes in sorted(candidates.items()):
+        if minor < 10 or minor == sys.version_info.minor:
+            continue
+        for exe in exes:
+            try:
+                proc = subprocess.run([exe, "-c", "import sys; print(sys.version_info[1])"],
+                                      capture_output=True, text=True, timeout=60)
+            except OSError:
+                continue
+            if proc.returncode == 0 and proc.stdout.strip() == str(minor):
+                found.append(exe)
+                break
+    return found
+
+
+def test_numpy_free_entries_are_byte_identical_under_every_other_python(tmp_path):
+    # the README promises Python >= 3.10; every other 3.N found replays the
+    # numpy-free entries of both corpora
+    pythons = _other_pythons()
+    if not pythons:
+        pytest.skip("no other python3.N with N >= 10 found")
+    entries = [e for e in CORPUS + EXTRA if _command(e["argv"]) in NO_BITMAP]
+    for python in pythons:
+        _assert_stdout_without_numpy(entries, tmp_path, python)
+    assert not (tmp_path / "cache").exists()
+
+
 def test_bitmap_commands_read_the_cache_without_numpy(tmp_path):
     # a process with numpy builds a bitmap covering every corpus limit (the
     # largest is triples --limit 10000's 10002 and the 10^6 counts)
@@ -89,9 +133,9 @@ def test_bitmap_commands_read_the_cache_without_numpy(tmp_path):
     assert [p.name for p in (tmp_path / "cache").iterdir()] == ["practical-1000002.bits"]
 
 
-def _assert_stdout_without_numpy(entries, tmp_path):
-    """Run every entry in one fresh interpreter where importing numpy fails;
-    each must exit 0 with its golden stdout."""
+def _assert_stdout_without_numpy(entries, tmp_path, python=sys.executable):
+    """Run every entry in one fresh interpreter, python, where importing
+    numpy fails; each must exit 0 with its golden stdout."""
     child = (
         "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -107,12 +151,12 @@ def _assert_stdout_without_numpy(entries, tmp_path):
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                PRACTICUM_CACHE_DIR=str(tmp_path / "cache"))
-    proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
+    proc = subprocess.run([python, "-c", child], cwd=tmp_path, env=env,
                           input=json.dumps([e["argv"] for e in entries]),
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, (python, proc.stderr)
     for entry, (code, out) in zip(entries, json.loads(proc.stdout), strict=True):
-        assert (code, out) == (0, entry["stdout"]), entry["argv"]
+        assert (code, out) == (0, entry["stdout"]), (python, entry["argv"])
 
 
 def _assert_stdout(entry, tmp_path, monkeypatch, capsys):

@@ -18,7 +18,7 @@ from practicum import (
     nonpractical_witness,
     progressions,
 )
-from helpers import is_prime_trial
+from helpers import is_prime_trial, time_limit
 
 
 def _divisors(n):
@@ -90,6 +90,43 @@ def test_classify_witness_prime_is_least_prime_missing_a_over_d(data):
     )
     assert cls.witness_prime == expected, (a, b)
     assert (cls.case == "infinitely_many") == (expected is not None)
+
+
+def _classify_from_the_full_factorization(a, b):
+    """classify_ap's fields, with d and sigma(d) read off the verdict on
+    gcd(a, b), which factors it completely."""
+    verdict = is_practical(math.gcd(a, b))
+    d, bound = verdict.prefix, verdict.sigma + 1
+    m = next((p for p in range(2, bound + 1) if is_prime_trial(p) and (a // d) % p), None)
+    if m is not None:
+        return "infinitely_many", d, m, None
+    if is_practical(b).practical:
+        return "exactly_one", d, None, b
+    return "none", d, None, None
+
+
+def test_classify_matches_the_full_factorization_of_the_gcd():
+    # the lazy walk stops at the first failing comparison, where the full
+    # factorization's verdict fails too: the same d and sigma(d)
+    pairs = [(a, b) for a in range(1, 121) for b in range(1, 121)]
+    pairs += [(a * q, b * q) for q in _PRIMORIALS[:8] for a in range(1, 40)
+              for b in (1, 2, 3, 5, 7, 12, 30)]
+    rng = random.Random(1)
+    pairs += [(rng.randrange(1, 10**12), rng.randrange(1, 10**12)) for _ in range(3000)]
+    for a, b in pairs:
+        cls = classify_ap(a, b)
+        fields = (cls.case, cls.d, cls.witness_prime, cls.unique_value)
+        assert fields == _classify_from_the_full_factorization(a, b), (a, b)
+
+
+def test_classify_does_not_factor_past_the_failing_comparison():
+    # 10^300 + 7 is odd and 2 * p * q has sigma(2) + 1 = 4 < p: in both the
+    # walk over gcd(a, b) fails before any cofactor needs rho
+    p, q = 10**20 + 39, 10**20 + 129
+    for n, d in ((10**300 + 7, 1), (2 * p * q, 2)):
+        with time_limit(5):
+            cls = classify_ap(n, n)
+        assert (cls.case, cls.d, cls.witness_prime) == ("infinitely_many", d, 2)
 
 
 def test_classify_rejects_nonpositive():

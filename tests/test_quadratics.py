@@ -163,6 +163,33 @@ def test_roots_mod_prime_power_matches_exhaustive_scan():
                 assert got == _exhaustive_roots(a, b, c, p**k)[:cap], (q, p, k)
 
 
+def test_roots_mod_prime_power_is_none_exactly_when_the_content_covers_p_to_the_k():
+    # every n is then a root, so a root list would be correct but not vacuous
+    for p in (2, 3, 5):
+        for a, b, c in SMALL_GRID:
+            for v in range(3):
+                q = QuadraticPoly(a * p**v, b * p**v, c * p**v)
+                for k in (1, 2, 3):
+                    vacuous = q.content % p**k == 0
+                    assert (_roots_mod_prime_power(q, p, k) is None) == vacuous, (q, p, k)
+
+
+def test_finite_witness_root_is_the_least_root_at_its_top_level():
+    # the deepest class's rho, not the first with a level: for n^2 + 4 at 2 the
+    # even n have level 2, with rho 0, and the least root mod 8 is 2
+    for p in (2, 3, 5):
+        for a, b, c in product(range(1, 4), range(-20, 21), range(-20, 21)):
+            q = QuadraticPoly(a, b, c)
+            res = mq(q, p)
+            if res.infinite:
+                continue
+            _check_finite_witness(q, res)
+            m = res.exponent - res.content_val
+            if m:
+                q1 = q.primitive()
+                assert res.witness.root == _exhaustive_roots(q1.a, q1.b, q1.c, p**m)[0], (q, p)
+
+
 def test_roots_mod_prime_matches_exhaustive_scan():
     primes = [p for p in range(2, 102) if all(p % d for d in range(2, p))]
     rng = random.Random(31)

@@ -23,7 +23,7 @@ from practicum import (
     practical_triples,
     sieve_practicals,
 )
-from helpers import time_limit
+from helpers import stewart_sieve_bits, time_limit
 
 
 def test_sieve_limit_20_exact():
@@ -67,6 +67,28 @@ def test_tree_bitmap_agrees_with_structure_test():
     rng = random.Random(7)
     for n in rng.sample(range(1, 10**7 + 1), 3000):
         assert (n in big) == is_practical(n).practical, n
+
+
+def _unpacked(bits, limit):
+    return np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=limit + 1, bitorder="little")
+
+
+def test_stewart_sieve_oracle_agrees_with_the_structure_test():
+    # windows of 2^12: 24 window edges inside the range
+    flags = _unpacked(stewart_sieve_bits(10**5, 1 << 12), 10**5)
+    assert flags[0] == 0
+    for n in range(1, 10**5 + 1):
+        assert flags[n] == is_practical(n).practical, n
+    for n in range(1, 10**3 + 1):
+        assert flags[n] == is_practical_oracle(n), n
+
+
+def test_whole_bitmap_matches_the_stewart_sieve_oracle():
+    # every bit to 10^7 against an algorithm with no tree, pi table or int64
+    # isqrt, on windows of 2^20: nine window edges inside the range
+    bits = stewart_sieve_bits(10**7)
+    assert sieve_practicals(10**7).bits == bits
+    assert int(_unpacked(bits, 10**7).sum()) == 829_157
 
 
 def test_tree_count_agrees_with_bitmap_count():
