@@ -87,6 +87,8 @@ class PracticalBitmap:
 
     def as_int(self, x: int) -> int:
         """Bits 0..x as one int: bit n is set when n <= x is practical."""
+        if not 0 <= x <= self.limit:
+            raise InvalidInput(f"x = {x} outside bitmap range [0, {self.limit}]")
         last = self.bits[x >> 3] & ((2 << (x & 7)) - 1)  # bits 8 * (x >> 3)..x
         return int.from_bytes(self.bits[: x >> 3] + bytes((last,)), "little")
 

@@ -82,6 +82,11 @@ def test_poly_witness_command(capsys):
     assert data["verdict"]["practical"] is False
 
 
+def test_poly_witness_takes_a_negative_constant_after_a_double_dash(capsys):
+    data = run_json(capsys, "poly", "witness", "--", "-5,1")  # as the README says
+    assert data["coefficients"] == [-5, 1]
+
+
 def test_quad_commands(capsys):
     data = run_json(capsys, "quad", "mq", "1", "0", "3", "2")
     assert data["m"] == 2

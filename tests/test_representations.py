@@ -413,4 +413,5 @@ def test_chain_checks_each_link_once(monkeypatch):
     assert all(e.evidence.verify() for e in entries[1:])
     assert all(e.evidence.practical for e in entries[1:])
     assert checked == links
-    assert entries[-1].value == 8 * (10**2**19 - 1) // 9
+    assert [e.index for e in entries] == list(range(1, 20))
+    assert all(e.value == 8 * (10**2**e.index - 1) // 9 for e in entries)  # a run of 8s at every link

@@ -307,6 +307,15 @@ def test_membership_range_checks():
         bm.count(0)
 
 
+def test_as_int_rejects_bits_outside_the_bitmap():
+    bm = sieve_practicals(100)
+    for x in (-1, bm.limit + 1, bm.limit + 8):
+        with pytest.raises(InvalidInput, match=r"\[0, 100\]"):
+            bm.as_int(x)
+    assert bm.as_int(0) == 0
+    assert bm.as_int(bm.limit) == sum(1 << int(n) for n in bm.members())
+
+
 def test_memory_budget(monkeypatch):
     # the fill reads sieve.DEFAULT_MEMORY_BUDGET when it runs, as the tree count does
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", 1000)
