@@ -356,6 +356,8 @@ def factorize(n: int) -> Factorization:
     Raises BudgetExceeded, naming n, when the work limit runs out; never
     returns a partial answer.
     """
+    if not isinstance(n, int):
+        raise InvalidInput(f"factorize requires an integer, got {n!r}")
     if n < 1:
         raise InvalidInput(f"factorize requires n >= 1, got {n}")
     return Factorization(tuple(_prime_powers(n)))

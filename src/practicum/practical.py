@@ -130,6 +130,8 @@ def is_practical(n: int) -> PracticalityVerdict:
     n is factored under the budget in force (see arith.factor_budget), and
     BudgetExceeded from factorize propagates when its work limit runs out.
     """
+    if not isinstance(n, int):
+        raise InvalidInput(f"practicality is defined for integers, got {n!r}")
     if n < 1:
         raise InvalidInput(f"practicality is defined for n >= 1, got {n}")
     return practical_from_factorization(factorize(n), n)

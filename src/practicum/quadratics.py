@@ -13,6 +13,10 @@ to disc != 0) the roots mod p are simple and lift, so m_q(p) is infinite if
 disc is a square, 0 included, or (disc/p) = 1, which a non-square disc meets
 infinitely often, first at O(log^2 |disc|) under GRH (Bach, Math. Comp. 55,
 1990).  prime_stream charges each prime to the work limit in force instead.
+The walk decides each p prime to 2a*disc (of the content-free part) by that
+one symbol.  Only p = 2 and the few odd p dividing a*disc, or every p when
+disc = 0, take the class split below.  mq runs the split at every p, so
+its answer keeps its witness.
 
 If that number fails Stewart's test at P, every practical value v = q(n)
 divides its practical prefix A, so a finite stream stops past A:
@@ -69,6 +73,9 @@ class QuadraticPoly:
     c: int
 
     def __post_init__(self):
+        for coeff in (self.a, self.b, self.c):
+            if not isinstance(coeff, int):
+                raise InvalidInput(f"coefficients must be integers, got {coeff!r}")
         if self.a < 1:
             raise InvalidInput(f"leading coefficient must be positive, got {self.a}")
 
@@ -178,75 +185,90 @@ def _mq(q: QuadraticPoly, p: int) -> MqResult:
     """
     g = q.content
     v = valuation(g, p) if g > 1 else 0
-    q = q.primitive()
-    disc = q.discriminant
+    m, fields = _mq_primitive(q.a // g, q.b // g, q.c // g, p)
+    if m is None:
+        return MqResult(p, None, v, InfiniteWitness(*fields))
+    return MqResult(p, v + m, v, FiniteWitness(*fields))
+
+
+def _mq_primitive(a: int, b: int, c: int, p: int) -> tuple[int | None, tuple]:
+    """m for the primitive q = a n^2 + b n + c at a prime p, with the fields
+    of its witness in order: (None, InfiniteWitness fields) when m is
+    infinite, else (m, FiniteWitness fields)."""
+    disc = b * b - 4 * a * c
     if disc != 0:
-        bound = valuation(disc, p) + valuation(4 * q.a, p) + 2
+        bound = valuation(disc, p) + valuation(4 * a, p) + 2
     else:
-        v_lead = valuation(2 * q.a, p)
-        v_lin = valuation(q.b, p) if q.b else None
+        v_lead = valuation(2 * a, p)
+        v_lin = valuation(b, p) if b else None
         if v_lin is None or v_lead <= v_lin:
             # -b/2a is a p-adic integer; approximate it to a comfortable level
             prec = v_lead + 4
             mod = p**prec
             scale = p**v_lead
-            r = (-(q.b // scale) * pow(2 * q.a // scale, -1, mod // scale)) % (mod // scale)
-            fv = q(r)
+            r = (-(b // scale) * pow(2 * a // scale, -1, mod // scale)) % (mod // scale)
+            fv = (a * r + b) * r + c
             level = valuation(fv, p) if fv else prec
-            return MqResult(p, None, v, InfiniteWitness(
-                kind="double_root",
-                root=r,
-                level=level,
-                val_lead=v_lead,
-                val_lin=v_lin,
-            ))
-        bound = 2 * v_lin + valuation(4 * q.a, p) + 2
+            return None, ("double_root", r, level, None, None, v_lead, v_lin)
+        bound = 2 * v_lin + valuation(4 * a, p) + 2
     # Two roots of a class mod p are simple and lift to p-adic roots, so a
     # finite m_q splits along one chain of classes; the deepest class's rho
     # is the least root mod p^m.
     m, root = 0, None
-    for rho, _, level in _class_split(q, p, bound):
+    for rho, _, level in _class_split(a, b, c, p, bound):
         if not level:
             continue
-        fv = q(rho)
-        dv = q.derivative(rho)
+        fv = (a * rho + b) * rho + c
+        dv = 2 * a * rho + b
         if fv == 0 or (dv and valuation(fv, p) >= 2 * valuation(dv, p) + 1):
             top, lvl = p, 1  # the least lvl >= 1 with rho < p^lvl
             while top <= rho:
                 top, lvl = top * p, lvl + 1
-            return MqResult(p, None, v, InfiniteWitness(
-                kind="hensel",
-                root=rho,
-                level=lvl,
-                val_q=valuation(fv, p) if fv else None,
-                val_dq=valuation(dv, p) if dv else None,
-            ))
+            return None, ("hensel", rho, lvl,
+                          valuation(fv, p) if fv else None, valuation(dv, p) if dv else None)
         if level == bound:  # mathematically unreachable; see module docstring
             raise FalsificationSignal(
-                f"root lifting for {q} mod {p} ran past its termination bound"
+                f"root lifting for {QuadraticPoly(a, b, c)} mod {p} ran past its termination bound"
             )
         if level > m:
             m, root = level, rho
-    return MqResult(p, v + m, v, FiniteWitness(root, m + 1))
+    return m, (root, m + 1)
 
 
 def _classify(q: QuadraticPoly, primes) -> QuadClassification:
     """classify_quadratic on the caller's stream of 2, 3, 5, ...: m_q up to
     p_r, the least prime with infinite m_q (it exists: module docstring),
-    leaving the stream just past p_r.  Each prime costs a unit of work."""
-    walk: list[MqResult] = []
-    while not walk or not walk[-1].infinite:
-        walk.append(_mq(q, next(primes)))  # prime_stream proves each prime
-    p_r = walk[-1].p
-    factors = [(res.p, res.exponent) for res in walk[:-1] if res.exponent]
-    verdict = practical_from_factorization(Factorization((*factors, (p_r, 1))))
+    leaving the stream just past p_r.  Each prime costs a unit of work.
+
+    m_q(p) is v_p(g) plus the primitive part's m, as in _mq.  A p prime to
+    2a*disc is odd with simple roots mod p, so there m is infinite if
+    (disc/p) = 1 and 0 otherwise; every other p takes the class split.
+    """
+    g = q.content
+    a, b, c = q.a // g, q.b // g, q.c // g
+    disc = b * b - 4 * a * c
+    two_a_disc = 2 * a * disc
+    exponents: list[int] = []
+    factors: list[tuple[int, int]] = []
+    for p in primes:  # prime_stream proves each prime and never runs out
+        if two_a_disc % p:
+            m = None if _jacobi(disc, p) == 1 else 0
+        else:
+            m = _mq_primitive(a, b, c, p)[0]
+        if m is None:
+            break
+        m += valuation(g, p) if g % p == 0 else 0
+        exponents.append(m)
+        if m:
+            factors.append((p, m))
+    verdict = practical_from_factorization(Factorization((*factors, (p, 1))))
     case = INFINITELY_MANY if verdict.practical else FINITELY_MANY
     return QuadClassification(
         poly=q,
         case=case,
-        r=len(walk),
-        p_r=p_r,
-        exponents=tuple(res.exponent for res in walk[:-1]),
+        r=len(exponents) + 1,
+        p_r=p,
+        exponents=tuple(exponents),
         witness_n=verdict.n,
         verdict_n=verdict,
     )
@@ -355,7 +377,7 @@ def _roots_mod_prime_power(q: QuadraticPoly, p: int, k: int) -> list[int] | None
     first (root) class already sits at level k, so the content alone covers
     p^k and divisibility holds for every n.
     """
-    classes = _class_split(q, p, k)
+    classes = _class_split(q.a, q.b, q.c, p, k)
     if next(classes)[2] == k:
         return None
     top = p**k
@@ -367,8 +389,9 @@ def _roots_mod_prime_power(q: QuadraticPoly, p: int, k: int) -> list[int] | None
     )[:_ROOT_CAP]
 
 
-def _class_split(q: QuadraticPoly, p: int, k: int):
-    """Breadth-first split of the roots of q modulo p^k into residue classes.
+def _class_split(a: int, b: int, c: int, p: int, k: int):
+    """Breadth-first split of the roots of q = a n^2 + b n + c modulo p^k
+    into residue classes.
 
     Yields (rho, step, level) for each class n = rho (mod step), 0 <= rho <
     step, once its content is stripped: p^level divides q(n) on the whole
@@ -378,7 +401,7 @@ def _class_split(q: QuadraticPoly, p: int, k: int):
     divisible by p, so each child's level is higher and the split ends.  The
     first class yielded is the root class (0, 1, min(v_p(content), k)).
     """
-    todo = [(q.a, q.b, q.c, 0, 1, 0)]
+    todo = [(a, b, c, 0, 1, 0)]
     for a, b, c, rho, step, level in todo:  # the loop reaches the appended classes
         while level < k and a % p == 0 and b % p == 0 and c % p == 0:
             a, b, c, level = a // p, b // p, c // p, level + 1

@@ -107,6 +107,12 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
 
 
+@pytest.mark.parametrize("n", [12.0, 12.5, "12", None])
+def test_factorize_rejects_non_integers(n):
+    with pytest.raises(InvalidInput, match=f"integer, got {n!r}"):
+        factorize(n)
+
+
 def test_factorization_validates():
     with pytest.raises(InvalidInput):
         Factorization(((3, 1), (2, 1)))

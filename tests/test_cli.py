@@ -709,7 +709,7 @@ def test_bitmap_command_without_numpy_exits_3(tmp_path):
     (["decompose", "41"], representations, "sqrt_mod_power_of_two", lambda m, k: 2),
     # a class that reaches the level bound m_q cannot exceed, without the gap
     (["quad", "mq", "1", "0", "1", "2"], quadratics, "_class_split",
-     lambda q, p, k: [(1, 2**k, k)]),
+     lambda a, b, c, p, k: [(1, 2**k, k)]),
     # a CRT solution one off no longer makes q(n) divisible by the modulus
     (["quad", "witness", "1", "0", "3", "--min", "100"], quadratics, "crt_solve",
      lambda combo: (lambda r, m: (r + 1, m))(*crt_solve(combo))),

@@ -124,3 +124,23 @@ def test_test_command_loads_only_its_own_modules(argv, used, unused):
     assert code == 0
     assert {"numpy", *(f"practicum.{m}" for m in unused)}.isdisjoint(loaded)
     assert {f"practicum.{m}" for m in used} <= set(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["quad", "classify", "1", "0", "-7"],
+    ["quad", "mq", "1", "0", "3", "2"],
+], ids=["quad-classify", "quad-mq"])
+def test_quad_commands_build_no_trial_table(argv):
+    # the m_q walk takes its primes from prime_stream, not from the trial
+    # division table, whose first build costs a process milliseconds
+    out = run_child(
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import practicum.cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        f"    code = practicum.cli.main({argv!r})\n"
+        "from practicum import arith\n"
+        "print(json.dumps([code, arith._trial_table.cache_info().currsize,\n"
+        "                  'numpy' in sys.modules]))\n"
+    )
+    assert json.loads(out) == [0, 0, False]

@@ -40,6 +40,13 @@ def test_verdict_examples():
         is_practical_quick(0)
 
 
+@pytest.mark.parametrize("n", [12.0, 12.5, "12", None])
+def test_is_practical_rejects_non_integers(n):
+    # a float such as 12.0 would otherwise factor and come back practical
+    with pytest.raises(InvalidInput, match=f"integers, got {n!r}"):
+        is_practical(n)
+
+
 def test_oracle_examples():
     assert is_practical_oracle(6)
     assert not is_practical_oracle(10)

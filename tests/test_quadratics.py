@@ -43,6 +43,13 @@ def test_poly_validation():
     assert q.primitive() == QuadraticPoly(1, -2, 1)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
+def test_poly_rejects_non_integer_coefficients(bad):
+    for coeffs in ((bad, 0, 1), (1, bad, 1), (1, 0, bad)):
+        with pytest.raises(InvalidInput, match=f"integers, got {bad!r}"):
+            QuadraticPoly(*coeffs)
+
+
 def _check_infinite_witness(q, res):
     w = res.witness
     assert isinstance(w, InfiniteWitness)
@@ -292,6 +299,9 @@ def test_least_infinite_prime_examples():
     assert least_infinite_prime(QuadraticPoly(1, 1, 2)) == (1, 2, ())
     assert least_infinite_prime(QuadraticPoly(1, 0, 1)) == (3, 5, (1, 0))
     assert least_infinite_prime(QuadraticPoly(1, 0, 3)) == (4, 7, (2, 1, 0))
+    # n^2 + 1 times a content of 3: v_3(3) is added at 3, where the symbol
+    # (-4/3) = -1 alone decides the primitive part
+    assert least_infinite_prime(QuadraticPoly(3, 0, 3)) == (3, 5, (1, 1))
     # the walk pays one unit of the work limit per prime: 2 and 3, not 5
     with factor_budget(2), pytest.raises(BudgetExceeded, match="--factor-work"):
         least_infinite_prime(QuadraticPoly(1, 0, 1))
@@ -319,6 +329,28 @@ def test_walk_runs_to_the_least_infinite_prime(k, digits, r, p_r):
     cls = classify_quadratic(QuadraticPoly(1, 0, -D))
     assert (cls.case, cls.r, cls.p_r) == ("finitely_many", r, p_r)
     assert cls.exponents == (2,) + (0,) * (r - 2)
+
+
+def _reference_walk(q):
+    """r, p_r and the exponents from mq itself at 2, 3, 5, ... up to the
+    first infinite prime: the class split at every prime, no symbol."""
+    exponents = []
+    for p in prime_stream():
+        res = mq(q, p)
+        if res.infinite:
+            return len(exponents) + 1, p, tuple(exponents)
+        exponents.append(res.exponent)
+
+
+def test_walk_matches_mq_at_every_prime():
+    # every q with a <= 4 and |b|, |c| <= 12, and one whose walk decides 100+
+    # primes by the symbol alone
+    polys = [QuadraticPoly(a, b, c)
+             for a in range(1, 5) for b in range(-12, 13) for c in range(-12, 13)]
+    polys.append(QuadraticPoly(1, 0, -_nonresidue_discriminant(100)))
+    for q in polys:
+        cls = classify_quadratic(q)
+        assert (cls.r, cls.p_r, cls.exponents) == _reference_walk(q), q
 
 
 def test_classifications_of_small_quadratics_are_frozen():

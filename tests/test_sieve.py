@@ -91,6 +91,13 @@ def test_whole_bitmap_matches_the_stewart_sieve_oracle():
     assert int(_unpacked(bits, 10**7).sum()) == 829_157
 
 
+def test_jobs_split_at_small_blocks_match_the_stewart_sieve_oracle(monkeypatch):
+    # 64-node blocks split jobs all through the walk to 2 * 10^5, so every
+    # child range cut at a block boundary is checked against the oracle
+    monkeypatch.setattr(sieve, "_BLOCK", 64)
+    assert sieve_practicals(2 * 10**5).bits == stewart_sieve_bits(2 * 10**5)
+
+
 def test_tree_count_agrees_with_bitmap_count():
     X = 2 * 10**5
     bm = sieve_practicals(X)
