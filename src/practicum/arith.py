@@ -109,11 +109,9 @@ def sigma(f: Factorization) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest k with p^k | n.  Requires n != 0 and p >= 2."""
-    if n == 0:
-        raise InvalidInput("valuation of 0 is undefined")
-    if p < 2:
-        raise InvalidInput(f"not a valid prime base: {p}")
+    """Largest k with p^k | n.  Requires integers n != 0 and p >= 2."""
+    if not isinstance(n, int) or not isinstance(p, int) or n == 0 or p < 2:
+        raise InvalidInput(f"valuation requires integers n != 0 and p >= 2, got ({n!r}, {p!r})")
     n = abs(n)
     k = 0
     while n % p == 0:
@@ -242,11 +240,8 @@ class _WorkMeter:
 
 
 def _out_of_work(task: str, limit: int, used: int) -> BudgetExceeded:
-    return BudgetExceeded(
-        f"factorization work limit exhausted while {task}: "
-        "raise --factor-work (factor_budget's work_limit)",
-        knob="--factor-work", limit=limit, used=used,
-    )
+    return BudgetExceeded(f"factorization work limit exhausted while {task}", knob="--factor-work",
+                          limit=limit, used=used, param="factor_budget's work_limit")
 
 
 def _brent_rho(n: int, meter: _WorkMeter, rng: random.Random) -> int:
@@ -375,6 +370,8 @@ def crt_solve(system: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """
     r, m = 0, 1
     for ri, mi in system:
+        if not isinstance(ri, int) or not isinstance(mi, int):
+            raise InvalidInput(f"congruences need integers, got ({ri!r}, {mi!r})")
         if mi < 2:
             raise InvalidInput(f"modulus must be >= 2, got {mi}")
         if not 0 <= ri < mi:

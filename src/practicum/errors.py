@@ -4,7 +4,9 @@
   residue or j, conflicting congruences, a multiplier past its provable
   bound); fix the arguments.  It is also a ValueError.
 - BudgetExceeded: a work, memory, oracle, scan or iteration limit ran out
-  before the answer; raise the budget that the message names.
+  before the answer; raise the budget that the message names.  Every such
+  message has one form, "<what ran out>: raise <knob>", followed by
+  " (<parameter>)" when a library parameter sets the same limit.
 - FalsificationSignal: the computation finished and produced something
   that contradicts a theorem it implements; report a bug.  The CLI exits 1
   on it and 2 on the other two.
@@ -20,17 +22,18 @@ class InvalidInput(PracticumError, ValueError):
 
 
 class BudgetExceeded(PracticumError):
-    """A configured limit ran out before the answer; the message names the
-    flag or constant that raises it.
+    """A configured limit ran out before the answer.
 
-    knob is that flag or constant, limit its value, and used what the
-    operation had taken or asked for when it stopped: work units, values
-    scanned, rounds or bytes, in the limit's own unit.
+    knob is the flag or constant that raises the limit, limit its value,
+    and used what the operation had taken or asked for when it stopped:
+    work units, values scanned, rounds or bytes, in the limit's own unit.
+    param names the library parameter that sets the same limit, if any.
+    The message is written from these alone, as "{what}: raise {knob}",
+    followed by " ({param})" when param is given.
     """
 
-    def __init__(self, message: str, *, knob: str | None = None,
-                 limit: int | None = None, used: int | None = None):
-        super().__init__(message)
+    def __init__(self, what: str, *, knob: str, limit: int, used: int, param: str | None = None):
+        super().__init__(f"{what}: raise {knob}" + (f" ({param})" if param else ""))
         self.knob, self.limit, self.used = knob, limit, used
 
 

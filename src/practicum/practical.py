@@ -142,6 +142,8 @@ def is_practical_quick(n: int) -> bool:
     n's prime powers drawn lazily from factorize's trial stage, which stops
     at the first prime above sigma(prefix) + 1: rho runs only once that
     bound passes the trial bound.  This is what the scan-heavy paths use."""
+    if not isinstance(n, int):
+        raise InvalidInput(f"practicality is defined for integers, got {n!r}")
     if n < 1:
         raise InvalidInput(f"practicality is defined for n >= 1, got {n}")
     if n & 1:  # an odd n > 1 fails at its least prime, >= 3 > sigma(1) + 1
@@ -159,10 +161,8 @@ def is_practical_oracle(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     if n < 1:
         raise InvalidInput(f"oracle is defined for n >= 1, got {n}")
     if n > bound:
-        raise BudgetExceeded(
-            f"oracle bound {bound} exceeded by n = {n}: raise --oracle-bound (bound)",
-            knob="--oracle-bound", limit=bound, used=n,
-        )
+        raise BudgetExceeded(f"oracle bound {bound} exceeded by n = {n}", knob="--oracle-bound",
+                             limit=bound, used=n, param="bound")
     divisors = []
     for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:

@@ -82,8 +82,8 @@ def classify_ap(a: int, b: int) -> APClassification:
     prime factor of m is at most m and coprime to a/d; the case is infinite
     when m <= sigma(d) + 1.
     """
-    if a < 1 or b < 1:
-        raise InvalidInput(f"classify_ap requires positive a, b; got ({a}, {b})")
+    if not isinstance(a, int) or not isinstance(b, int) or a < 1 or b < 1:
+        raise InvalidInput(f"classify_ap requires positive integers a, b; got ({a!r}, {b!r})")
     chain: list[tuple[int, int, int]] = []
     _walk(_prime_powers(math.gcd(a, b), 2), chain)
     d = math.prod(p**e for p, e, _ in chain)  # the largest practical divisor of gcd(a, b)
@@ -123,11 +123,8 @@ def ap_practical_stream(
             found.append(v)
             if len(found) == count:
                 return found
-    raise BudgetExceeded(
-        f"only {len(found)} practical terms of {a}n+{b} within n <= {n_limit}: "
-        "raise --scan-bound (n_limit)",
-        knob="--scan-bound", limit=n_limit, used=n_limit,
-    )
+    raise BudgetExceeded(f"only {len(found)} practical terms of {a}n+{b} within n <= {n_limit}",
+                         knob="--scan-bound", limit=n_limit, used=n_limit, param="n_limit")
 
 
 def ap_constructive_witness(a: int, b: int, threshold: int) -> APWitness:
@@ -205,9 +202,7 @@ def nonpractical_witness(
         v = _poly_eval(trimmed, n)
         if v >= 1 and not is_practical_quick(v):
             return PolyWitness(n=n, value=v, verdict=is_practical(v))
-    if n_limit == _POLY_BOUND_CAP:
-        knob, hint = "progressions._POLY_BOUND_CAP", "progressions._POLY_BOUND_CAP"
-    else:
-        knob, hint = "--scan-bound", "--scan-bound (n_limit)"
-    raise BudgetExceeded(f"no non-practical value with n <= {n_limit}: raise {hint}",
-                         knob=knob, limit=n_limit, used=n_limit)
+    at_cap = n_limit == _POLY_BOUND_CAP
+    raise BudgetExceeded(f"no non-practical value with n <= {n_limit}",
+                         knob="progressions._POLY_BOUND_CAP" if at_cap else "--scan-bound",
+                         limit=n_limit, used=n_limit, param=None if at_cap else "n_limit")

@@ -171,8 +171,8 @@ class QuadWitness:
 
 def mq(q: QuadraticPoly, p: int) -> MqResult:
     """m_q(p) with its justifying witness, for a prime p."""
-    if not _is_prime(p):
-        raise InvalidInput(f"p must be prime, got {p}")
+    if not isinstance(p, int) or not _is_prime(p):
+        raise InvalidInput(f"p must be a prime integer, got {p!r}")
     return _mq(q, p)
 
 
@@ -307,11 +307,8 @@ def quad_practical_stream(
         if top is not None and n >= turn and v > top:
             break
     if len(values) < count and cls.case == INFINITELY_MANY:
-        raise BudgetExceeded(
-            f"only {len(values)} practical values of {q} within n <= {n_limit}: "
-            "raise --scan-bound (n_limit)",
-            knob="--scan-bound", limit=n_limit, used=n_limit,
-        )
+        raise BudgetExceeded(f"only {len(values)} practical values of {q} within n <= {n_limit}",
+                             knob="--scan-bound", limit=n_limit, used=n_limit, param="n_limit")
     return values
 
 
@@ -484,7 +481,5 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
         else:
             t_list.append(next(t for t in primes if _roots_mod_prime(q.a, q.b, q.c, t)))
     raise BudgetExceeded(
-        f"witness construction for {q} did not converge in {_WITNESS_ROUNDS} rounds"
-        " (_WITNESS_ROUNDS)",
-        knob="quadratics._WITNESS_ROUNDS", limit=_WITNESS_ROUNDS, used=_WITNESS_ROUNDS,
-    )
+        f"witness construction for {q} did not converge in {_WITNESS_ROUNDS} rounds",
+        knob="quadratics._WITNESS_ROUNDS", limit=_WITNESS_ROUNDS, used=_WITNESS_ROUNDS)

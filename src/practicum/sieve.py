@@ -268,9 +268,8 @@ def _check_memory(what: str, need: int) -> None:
     """Raise when need bytes exceed DEFAULT_MEMORY_BUDGET, read at call time."""
     if need > DEFAULT_MEMORY_BUDGET:
         raise BudgetExceeded(
-            f"{what} needs {need} bytes, over sieve.DEFAULT_MEMORY_BUDGET = {DEFAULT_MEMORY_BUDGET}",
-            knob="sieve.DEFAULT_MEMORY_BUDGET", limit=DEFAULT_MEMORY_BUDGET, used=need,
-        )
+            f"{what} needs {need} bytes, over the {DEFAULT_MEMORY_BUDGET}-byte budget",
+            knob="sieve.DEFAULT_MEMORY_BUDGET", limit=DEFAULT_MEMORY_BUDGET, used=need)
 
 
 def sieve_practicals(limit: int) -> PracticalBitmap:

@@ -83,6 +83,46 @@ def mq_oracle(a: int, b: int, c: int, p: int) -> tuple[str, int]:
     return "at_least", horizon
 
 
+def mq_by_valuations(a: int, b: int, c: int, p: int) -> int | None:
+    """m_q(p) for q = a*n^2 + b*n + c (a >= 1) at a prime p, None for
+    infinity, read off valuations and one Legendre symbol (Euler's
+    criterion) instead of lifting roots.  For primitive q, with
+    disc = p^w * u and p not dividing u:
+
+    - p | a: infinite if p does not divide b (a simple root mod p), else 0
+      (then p divides neither c nor any value);
+    - disc = 0: infinite (a double root -b/2a that is a p-adic integer);
+    - odd p: w if w is odd or (u/p) = -1, else infinite;
+    - p = 2: w - 2 if w is odd; otherwise infinite if u = 1 (mod 8), w if
+      u = 5 (mod 8) and w - 1 if u = 3 (mod 4).
+
+    m_q(p) of any q adds v_p(content) to its primitive part's value.
+    """
+
+    def val(n: int) -> int:
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        return k
+
+    g = math.gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
+    disc = b * b - 4 * a * c
+    if a % p == 0:
+        m = None if b % p else 0
+    elif disc == 0:
+        m = None
+    else:
+        w = val(disc)
+        u = disc // p**w
+        if p > 2:
+            m = w if w % 2 or pow(u, (p - 1) // 2, p) == p - 1 else None
+        elif w % 2:
+            m = w - 2
+        else:
+            m = {1: None, 5: w}.get(u % 8, w - 1)
+    return None if m is None else m + val(g)
+
 
 def sqrt_mod_power_of_two_doubling(m: int, k: int) -> int:
     """Odd x in [1, 2^k - 1] with x^2 = m (mod 2^(k+2)), for m = 1 (mod 8),

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 from bisect import bisect_right
 from itertools import islice
 from unittest import mock
@@ -15,9 +16,13 @@ from practicum import (
     BudgetExceeded,
     Factorization,
     InvalidInput,
+    QuadraticPoly,
+    classify_ap,
     crt_solve,
     factor_budget,
     factorize,
+    is_practical_quick,
+    mq,
     prime_stream,
     primes_upto,
     sigma,
@@ -111,6 +116,39 @@ def test_factorize_rejects_nonpositive():
 def test_factorize_rejects_non_integers(n):
     with pytest.raises(InvalidInput, match=f"integer, got {n!r}"):
         factorize(n)
+
+
+@pytest.mark.parametrize("n, p", [(12.0, 2), (12, 2.0), ("12", 2), (12, None)])
+def test_valuation_rejects_non_integers(n, p):
+    # valuation(12.0, 2) would otherwise return 2
+    with pytest.raises(InvalidInput, match=re.escape(f"got {(n, p)!r}")):
+        valuation(n, p)
+
+
+@pytest.mark.parametrize("congruence", [(1.0, 3), (1, 3.0), ("1", 3)])
+def test_crt_solve_rejects_non_integers(congruence):
+    # crt_solve([(1.0, 3)]) would otherwise return (1.0, 3)
+    with pytest.raises(InvalidInput, match=re.escape(f"got {congruence!r}")):
+        crt_solve([(2, 5), congruence])
+
+
+@pytest.mark.parametrize("p", [2.0, 7.0, "2", None])
+def test_mq_rejects_non_integers(p):
+    # mq(q, 2.0) would otherwise return an MqResult with p = 2.0
+    with pytest.raises(InvalidInput, match=f"got {p!r}"):
+        mq(QuadraticPoly(1, 0, 3), p)
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 5), (3, 5.0), (3, "5")])
+def test_classify_ap_rejects_non_integers(a, b):
+    with pytest.raises(InvalidInput, match=re.escape(f"got {(a, b)!r}")):
+        classify_ap(a, b)
+
+
+@pytest.mark.parametrize("n", [12.0, 12.5, "12", None])
+def test_is_practical_quick_rejects_non_integers(n):
+    with pytest.raises(InvalidInput, match=f"integers, got {n!r}"):
+        is_practical_quick(n)
 
 
 def test_factorization_validates():

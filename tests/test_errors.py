@@ -2,6 +2,7 @@
 error names the setting that raises the budget."""
 
 import inspect
+import re
 
 import pytest
 
@@ -89,7 +90,7 @@ SITES = {
     "sieve memory": (_sieve_memory, "sieve.DEFAULT_MEMORY_BUDGET"),
     "walk memory": (_walk_memory, "sieve.DEFAULT_MEMORY_BUDGET"),
     "m_q primes": (_prime_walk, "raise --factor-work"),
-    "witness rounds": (_witness_rounds, "(_WITNESS_ROUNDS)"),
+    "witness rounds": (_witness_rounds, "raise quadratics._WITNESS_ROUNDS"),
 }
 
 
@@ -131,6 +132,7 @@ def test_every_budget_error_carries_knob_limit_and_use(site, monkeypatch):
     err = exc.value
     assert (err.knob, err.limit) == (knob, limit)
     assert knob.rsplit(".", 1)[-1] in str(err)  # a constant's message may omit its module
+    assert re.search(rf"raise {re.escape(err.knob)}( \(.+\))?$", str(err)), str(err)
     if used is not None:
         assert err.used == used
     elif knob == "--factor-work":  # rho charges its steps in rounds of up to 128

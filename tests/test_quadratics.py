@@ -30,7 +30,7 @@ from practicum.quadratics import (
     _roots_mod_prime,
     _roots_mod_prime_power,
 )
-from helpers import mq_oracle, time_limit
+from helpers import is_prime_trial, mq_by_valuations, mq_oracle, time_limit
 
 
 def test_poly_validation():
@@ -351,6 +351,38 @@ def test_walk_matches_mq_at_every_prime():
     for q in polys:
         cls = classify_quadratic(q)
         assert (cls.r, cls.p_r, cls.exponents) == _reference_walk(q), q
+
+
+def test_mq_matches_the_valuation_formula():
+    # every q with a <= 8 and |b|, |c| <= 12 at each p < 40, then random q
+    # whose content and discriminant carry high powers of a p <= 13
+    primes = [p for p in range(2, 40) if is_prime_trial(p)]
+    for a, b, c in product(range(1, 9), range(-12, 13), range(-12, 13)):
+        q = QuadraticPoly(a, b, c)
+        for p in primes:
+            assert mq(q, p).exponent == mq_by_valuations(a, b, c, p), (q, p)
+    rng = random.Random(35)
+    for _ in range(10000):
+        p = rng.choice(primes[:6])
+        a = rng.randint(1, 5) * p ** rng.randint(0, 3)
+        b = rng.randint(-9, 9) * p ** rng.randint(0, 6)
+        c = rng.randint(-9, 9) * p ** rng.randint(0, 12)
+        assert mq(QuadraticPoly(a, b, c), p).exponent == mq_by_valuations(a, b, c, p), (a, b, c, p)
+
+
+def test_walk_matches_the_valuation_formula():
+    # the walk's exponents and p_r against the formula at 2, 3, 5, ...,
+    # which reads no class split and no library symbol
+    for a, b, c in product(range(1, 7), range(-20, 21), range(-20, 21)):
+        exponents = []
+        p = 2
+        while (m := mq_by_valuations(a, b, c, p)) is not None:
+            exponents.append(m)
+            p += 1
+            while not is_prime_trial(p):
+                p += 1
+        cls = classify_quadratic(QuadraticPoly(a, b, c))
+        assert (cls.exponents, cls.p_r) == (tuple(exponents), p), (a, b, c)
 
 
 def test_classifications_of_small_quadratics_are_frozen():

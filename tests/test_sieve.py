@@ -259,13 +259,13 @@ def test_fill_memory_stays_within_its_budget():
 def test_budget_errors_name_their_knob(monkeypatch):
     need = sieve._walk_bytes(10**6)
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", need - 1)
-    knob = re.escape(f"over sieve.DEFAULT_MEMORY_BUDGET = {need - 1}")
+    knob = re.escape(f"over the {need - 1}-byte budget: raise sieve.DEFAULT_MEMORY_BUDGET")
     with pytest.raises(BudgetExceeded, match=f"needs {need} bytes, {knob}$"):
         count_practicals(10**6)
     with pytest.raises(BudgetExceeded, match=r"sieve\.DEFAULT_MEMORY_BUDGET"):
         density_report([10, 10**6])
     monkeypatch.setattr(sieve, "DEFAULT_MEMORY_BUDGET", 1000)
-    message = "needs 19123922 bytes, over sieve.DEFAULT_MEMORY_BUDGET = 1000"
+    message = "needs 19123922 bytes, over the 1000-byte budget: raise sieve.DEFAULT_MEMORY_BUDGET"
     with pytest.raises(BudgetExceeded, match=re.escape(message) + "$"):
         sieve_practicals(10**6)
 
