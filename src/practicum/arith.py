@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
-from .errors import BudgetExceeded, InvalidInput
+from .errors import BudgetExceeded, InvalidInput, _int_arg
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,7 +61,7 @@ def factor_budget(work_limit: int) -> Iterator[None]:
     block raises, so blocks nest.  The limit is a context variable: a new
     thread starts with DEFAULT_WORK_LIMIT, an asyncio task with its creator's.
     """
-    token = _work_limit.set(work_limit)
+    token = _work_limit.set(_int_arg("work_limit", work_limit, 0))
     try:
         yield
     finally:
@@ -80,7 +80,8 @@ class Factorization:
     def __post_init__(self):
         last = 1
         for p, e in self.factors:
-            if p <= last or e < 1:
+            _int_arg("e", e, 1)
+            if _int_arg("p", p) <= last:
                 raise InvalidInput(f"malformed factorization: {self.factors!r}")
             last = p
 
@@ -96,7 +97,18 @@ class Factorization:
 
 
 def sigma_prime_power(p: int, e: int) -> int:
-    """sigma(p^e) = (p^(e+1) - 1) / (p - 1)."""
+    """sigma(p^e) = (p^(e+1) - 1) / (p - 1) for p >= 2 and e >= 0, with
+    p^(e+1) under sieve's memory budget."""
+    from .sieve import _check_memory
+
+    _int_arg("p", p, 2)
+    _int_arg("e", e, 0)
+    _check_memory(f"sigma({p}^{e})", (e + 1) * p.bit_length() // 8)
+    return _sigma_pp(p, e)
+
+
+def _sigma_pp(p: int, e: int) -> int:
+    """sigma_prime_power unchecked, for the walks that made p and e."""
     return (p ** (e + 1) - 1) // (p - 1)
 
 
@@ -104,14 +116,19 @@ def sigma(f: Factorization) -> int:
     """Sum of divisors of the integer represented by f (multiplicative)."""
     s = 1
     for p, e in f:
-        s *= sigma_prime_power(p, e)
+        s *= _sigma_pp(p, e)
     return s
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest k with p^k | n.  Requires integers n != 0 and p >= 2."""
-    if not isinstance(n, int) or not isinstance(p, int) or n == 0 or p < 2:
-        raise InvalidInput(f"valuation requires integers n != 0 and p >= 2, got ({n!r}, {p!r})")
+    """Largest k with p^k | n, for n != 0 and p >= 2."""
+    if _int_arg("n", n) == 0:
+        raise InvalidInput("n must be nonzero, got 0")
+    return _valuation(n, _int_arg("p", p, 2))
+
+
+def _valuation(n: int, p: int) -> int:
+    """valuation unchecked, for the m_q code, whose n and p it made."""
     n = abs(n)
     k = 0
     while n % p == 0:
@@ -351,11 +368,7 @@ def factorize(n: int) -> Factorization:
     Raises BudgetExceeded, naming n, when the work limit runs out; never
     returns a partial answer.
     """
-    if not isinstance(n, int):
-        raise InvalidInput(f"factorize requires an integer, got {n!r}")
-    if n < 1:
-        raise InvalidInput(f"factorize requires n >= 1, got {n}")
-    return Factorization(tuple(_prime_powers(n)))
+    return Factorization(tuple(_prime_powers(_int_arg("n", n, 1))))
 
 
 def crt_solve(system: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -370,11 +383,7 @@ def crt_solve(system: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """
     r, m = 0, 1
     for ri, mi in system:
-        if not isinstance(ri, int) or not isinstance(mi, int):
-            raise InvalidInput(f"congruences need integers, got ({ri!r}, {mi!r})")
-        if mi < 2:
-            raise InvalidInput(f"modulus must be >= 2, got {mi}")
-        if not 0 <= ri < mi:
+        if _int_arg("residue", ri, 0) >= _int_arg("modulus", mi, 2):
             raise InvalidInput(f"residue {ri} out of range for modulus {mi}")
         g = math.gcd(m, mi)
         if (ri - r) % g:
@@ -426,7 +435,12 @@ def prime_stream() -> Iterator[int]:
 
 
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array, from one _sieve window."""
+    """All primes <= limit, for limit >= 0, as an int64 array from one _sieve
+    window, whose flags and primes must fit sieve's memory budget."""
     import numpy as np
 
+    from .sieve import _check_memory
+
+    _int_arg("limit", limit, 0)
+    _check_memory(f"primes to {limit}", 2 * limit)
     return np.frombuffer(_sieve(2, limit + 1), bool).nonzero()[0] + 2

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .arith import DEFAULT_WORK_LIMIT, factor_budget
-from .errors import FalsificationSignal, InvalidInput, PracticumError
+from .errors import FalsificationSignal, InvalidInput, PracticumError, _int_arg
 from .practical import (
     DEFAULT_ORACLE_BOUND,
     DEFAULT_SCAN_BOUND,
@@ -209,8 +209,7 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_sieve(args) -> dict:
-    if args.limit < 1:  # before the bitmap cache is touched
-        raise InvalidInput(f"sieve limit must be >= 1, got {args.limit}")
+    _int_arg("limit", args.limit, 1)  # before the bitmap cache is touched
     bitmap, path = _get_bitmap(args, args.limit)
     if args.out:
         path = Path(args.out)
@@ -224,11 +223,8 @@ def _cmd_count(args) -> dict:
     from .sieve import density_report
 
     bounds = [args.x] + (args.report or [])
-    if min(bounds) < 1:  # before the bitmap cache is read
-        raise InvalidInput(f"x and every checkpoint must be >= 1, got {min(bounds)}")
-    if max(bounds) > _COUNT_CAP:
-        raise InvalidInput(
-            f"x and every checkpoint must be <= {_COUNT_CAP} (_COUNT_CAP), got {max(bounds)}")
+    for x in bounds:  # before the bitmap cache is read
+        _int_arg("x and every checkpoint", x, 1, _COUNT_CAP, "_COUNT_CAP")
     cached = _cached_bitmap(args, max(bounds))
     rows = density_report(bounds, cached[0] if cached else None)
     out = {"x": args.x, "count": rows[0][1]}
@@ -357,10 +353,9 @@ def _cmd_family(args) -> dict:
 
 
 def _cmd_goldbach(args) -> dict:
-    from .representations import goldbach_pair
+    from .representations import _goldbach_n, goldbach_pair
 
-    if args.n < 2 or args.n % 2:  # before the bitmap cache is touched
-        raise InvalidInput(f"n must be even and >= 2, got {args.n}")
+    _goldbach_n(args.n)  # before the bitmap cache is touched
     bitmap, _ = _get_bitmap(args, max(args.n, 4))
     p1, p2 = goldbach_pair(args.n, bitmap)
     out = {"n": args.n, "pair": [p1, p2]}
@@ -377,8 +372,7 @@ def _cmd_goldbach(args) -> dict:
 def _cmd_triples(args) -> dict:
     from .representations import practical_triples
 
-    if args.limit < 1:  # before the bitmap cache is touched
-        raise InvalidInput(f"limit must be >= 1, got {args.limit}")
+    _int_arg("limit", args.limit, 1)  # before the bitmap cache is touched
     bitmap, _ = _get_bitmap(args, args.limit + 2)
     return {"limit": args.limit, "triples": practical_triples(args.limit, bitmap)}
 

@@ -10,6 +10,10 @@
 - FalsificationSignal: the computation finished and produced something
   that contradicts a theorem it implements; report a bug.  The CLI exits 1
   on it and 2 on the other two.
+
+Beside BudgetExceeded's one message format, _int_arg is the one argument
+check: every int argument of the public API passes through it, and its
+three messages are the only type and bound messages in the package.
 """
 
 
@@ -39,3 +43,22 @@ class BudgetExceeded(PracticumError):
 
 class FalsificationSignal(PracticumError):
     """A verified-impossible outcome occurred; indicates an implementation bug."""
+
+
+def _int_arg(name: str, value, lo: int | None = None, hi: int | None = None, cap: str = "") -> int:
+    """value, when it is a plain int in [lo, hi] (a bound given as None is open).
+
+    Otherwise InvalidInput names the argument, in one of three forms:
+    "{name} must be an integer, got {value!r}" for anything that is not
+    exactly an int (a bool too, though it subclasses int, and a float such
+    as 2.0); "{name} must be >= {lo}, got {value}"; and
+    "{name} must be <= {hi} ({cap}), got {value}", where cap names what
+    sets hi.
+    """
+    if type(value) is not int:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise InvalidInput(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise InvalidInput(f"{name} must be <= {hi} ({cap}), got {value}")
+    return value

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Union
 
-from .arith import Factorization, _prime_powers, factorize, sigma_prime_power
-from .errors import BudgetExceeded, InvalidInput
+from .arith import Factorization, _prime_powers, _sigma_pp, factorize
+from .errors import BudgetExceeded, InvalidInput, _int_arg
 
 DEFAULT_ORACLE_BOUND = 10**6
 # Largest n scanned by the bounded scans (ap_practical_stream,
@@ -74,14 +74,19 @@ class PracticalityVerdict:
         never exceeds the divisor sum of the product so far.  A negative
         verdict must also show the failing prime dividing n / prefix and
         exceeding sigma(prefix) + 1; that the cofactor has no smaller prime
-        factor is not checked.
+        factor is not checked.  Every number must be an int: 8.0 == 8, but
+        a verdict on 8.0 proves nothing.
         """
+        if type(self.n) is not int:
+            return False
         value = 1
         running = 1
         for p, e, s in self.chain:
+            if not type(p) is type(e) is type(s) is int:
+                return False
             if p < 2 or e < 1 or math.gcd(p, value) != 1 or p > running + 1:
                 return False
-            if s != running * sigma_prime_power(p, e):
+            if s != running * _sigma_pp(p, e):
                 return False
             value *= p**e
             running = s
@@ -90,6 +95,7 @@ class PracticalityVerdict:
         w = self.witness
         return (
             w is not None
+            and type(w.index) is type(w.prime) is type(w.bound) is int
             and w.index == len(self.chain) + 1
             and w.bound == running + 1
             and w.prime > w.bound
@@ -107,7 +113,7 @@ def _walk(powers: Iterator[tuple[int, int]], chain: list | None = None) -> tuple
     try:
         p, e = next(powers)
         while p <= running + 1:
-            running *= sigma_prime_power(p, e)
+            running *= _sigma_pp(p, e)
             if chain is not None:
                 chain.append((p, e, running))
             p, e = powers.send(running + 1)
@@ -117,11 +123,13 @@ def _walk(powers: Iterator[tuple[int, int]], chain: list | None = None) -> tuple
 
 
 def practical_from_factorization(f: Factorization, n: int | None = None) -> PracticalityVerdict:
-    """Run the structure test on a known factorization."""
+    """Run the structure test on a known factorization; the verdict's n is
+    f's value unless n >= 1 is given."""
+    n = f.value if n is None else _int_arg("n", n, 1)
     chain: list[tuple[int, int, int]] = []
     failure = _walk((pe for pe in f), chain)  # a generator accepts the walk's send()
     witness = failure and StewartWitness(len(chain) + 1, *failure)
-    return PracticalityVerdict(f.value if n is None else n, not failure, tuple(chain), witness)
+    return PracticalityVerdict(n, not failure, tuple(chain), witness)
 
 
 def is_practical(n: int) -> PracticalityVerdict:
@@ -130,10 +138,6 @@ def is_practical(n: int) -> PracticalityVerdict:
     n is factored under the budget in force (see arith.factor_budget), and
     BudgetExceeded from factorize propagates when its work limit runs out.
     """
-    if not isinstance(n, int):
-        raise InvalidInput(f"practicality is defined for integers, got {n!r}")
-    if n < 1:
-        raise InvalidInput(f"practicality is defined for n >= 1, got {n}")
     return practical_from_factorization(factorize(n), n)
 
 
@@ -142,11 +146,7 @@ def is_practical_quick(n: int) -> bool:
     n's prime powers drawn lazily from factorize's trial stage, which stops
     at the first prime above sigma(prefix) + 1: rho runs only once that
     bound passes the trial bound.  This is what the scan-heavy paths use."""
-    if not isinstance(n, int):
-        raise InvalidInput(f"practicality is defined for integers, got {n!r}")
-    if n < 1:
-        raise InvalidInput(f"practicality is defined for n >= 1, got {n}")
-    if n & 1:  # an odd n > 1 fails at its least prime, >= 3 > sigma(1) + 1
+    if _int_arg("n", n, 1) & 1:  # an odd n > 1 fails at its least prime, >= 3 > sigma(1) + 1
         return n == 1
     return _walk(_prime_powers(n, 2)) is None
 
@@ -158,9 +158,7 @@ def is_practical_oracle(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     Subset-sum over the divisor list as a bit mask, clamped at n (sums above
     n are irrelevant).  Independent of the structure test by construction.
     """
-    if n < 1:
-        raise InvalidInput(f"oracle is defined for n >= 1, got {n}")
-    if n > bound:
+    if _int_arg("n", n, 1) > _int_arg("bound", bound, 1):
         raise BudgetExceeded(f"oracle bound {bound} exceeded by n = {n}", knob="--oracle-bound",
                              limit=bound, used=n, param="bound")
     divisors = []
@@ -219,6 +217,8 @@ class MultiplierCertificate:
 
     def _check(self) -> str | None:
         """The first claim that fails, or None when every claim holds."""
+        if not type(self.base) is type(self.multiplier) is type(self.bound) is int:
+            return "base, multiplier and bound are not all integers"
         ev = self.base_evidence
         if isinstance(ev, MultiplierCertificate):
             if ev.value != self.base or not ev.verify():
@@ -250,6 +250,7 @@ def certify_product(
     verdict too.  The certificate is returned only if it verifies; else
     InvalidInput names the first claim that fails.
     """
+    _int_arg("multiplier", multiplier, 1)
     chained = isinstance(base_evidence, MultiplierCertificate)
     base = base_evidence.value if chained else base_evidence.n
     if chained or doubling:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import Factorization, _prime_powers, factorize, sigma
-from .errors import BudgetExceeded, FalsificationSignal, InvalidInput
+from .errors import BudgetExceeded, FalsificationSignal, InvalidInput, _int_arg
 from .practical import (
     DEFAULT_SCAN_BOUND,
     Evidence,
@@ -82,8 +82,8 @@ def classify_ap(a: int, b: int) -> APClassification:
     prime factor of m is at most m and coprime to a/d; the case is infinite
     when m <= sigma(d) + 1.
     """
-    if not isinstance(a, int) or not isinstance(b, int) or a < 1 or b < 1:
-        raise InvalidInput(f"classify_ap requires positive integers a, b; got ({a!r}, {b!r})")
+    _int_arg("a", a, 1)
+    _int_arg("b", b, 1)
     chain: list[tuple[int, int, int]] = []
     _walk(_prime_powers(math.gcd(a, b), 2), chain)
     d = math.prod(p**e for p, e, _ in chain)  # the largest practical divisor of gcd(a, b)
@@ -109,8 +109,8 @@ def ap_practical_stream(
     n_limit raises BudgetExceeded -- that would contradict the
     classification, so tests treat it as failure.
     """
-    if count < 1:
-        raise InvalidInput(f"count must be >= 1, got {count}")
+    _int_arg("count", count, 1)
+    _int_arg("n_limit", n_limit, 1)
     cls = classify_ap(a, b)
     if cls.case == EXACTLY_ONE:
         return [b][:count]
@@ -135,8 +135,7 @@ def ap_constructive_witness(a: int, b: int, threshold: int) -> APWitness:
     (a/d) n = -(b/d) (mod p^k) in [1, p^k] gives a term divisible by
     d * p^k whose cofactor is at most a/d + 1 <= sigma(d p^k) + 1.
     """
-    if threshold < 1:
-        raise InvalidInput(f"threshold must be >= 1, got {threshold}")
+    _int_arg("threshold", threshold, 1)
     cls = classify_ap(a, b)
     if cls.case != INFINITELY_MANY:
         raise InvalidInput(
@@ -189,15 +188,14 @@ def nonpractical_witness(
     means n_limit was too small; at _POLY_BOUND_CAP its message names the
     cap.  n_limit above _POLY_BOUND_CAP is refused with InvalidInput.
     """
-    trimmed = list(coeffs)
+    trimmed = [_int_arg("coefficient", c) for c in coeffs]
+    _int_arg("n_limit", n_limit, 1, _POLY_BOUND_CAP, "_POLY_BOUND_CAP")
     while trimmed and trimmed[-1] == 0:
         trimmed.pop()
     if len(trimmed) < 2:
         raise InvalidInput("polynomial must be non-constant")
     if trimmed[-1] < 0:
         raise InvalidInput("leading coefficient must be positive")
-    if n_limit > _POLY_BOUND_CAP:
-        raise InvalidInput(f"scan bound {n_limit} exceeds {_POLY_BOUND_CAP} (_POLY_BOUND_CAP)")
     for n in range(1, n_limit + 1):
         v = _poly_eval(trimmed, n)
         if v >= 1 and not is_practical_quick(v):

@@ -43,8 +43,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, product
 
-from .arith import Factorization, _is_prime, _jacobi, crt_solve, prime_stream, valuation
-from .errors import BudgetExceeded, FalsificationSignal, InvalidInput
+from .arith import Factorization, _is_prime, _jacobi, _valuation, crt_solve, prime_stream
+from .errors import BudgetExceeded, FalsificationSignal, InvalidInput, _int_arg
 from .practical import (
     DEFAULT_SCAN_BOUND,
     Evidence,
@@ -73,11 +73,9 @@ class QuadraticPoly:
     c: int
 
     def __post_init__(self):
-        for coeff in (self.a, self.b, self.c):
-            if not isinstance(coeff, int):
-                raise InvalidInput(f"coefficients must be integers, got {coeff!r}")
-        if self.a < 1:
-            raise InvalidInput(f"leading coefficient must be positive, got {self.a}")
+        _int_arg("a", self.a, 1)
+        _int_arg("b", self.b)
+        _int_arg("c", self.c)
 
     def __call__(self, n: int) -> int:
         return (self.a * n + self.b) * n + self.c
@@ -171,8 +169,8 @@ class QuadWitness:
 
 def mq(q: QuadraticPoly, p: int) -> MqResult:
     """m_q(p) with its justifying witness, for a prime p."""
-    if not isinstance(p, int) or not _is_prime(p):
-        raise InvalidInput(f"p must be a prime integer, got {p!r}")
+    if not _is_prime(_int_arg("p", p)):
+        raise InvalidInput(f"p must be prime, got {p}")
     return _mq(q, p)
 
 
@@ -184,7 +182,7 @@ def _mq(q: QuadraticPoly, p: int) -> MqResult:
     witness are the primitive part's.
     """
     g = q.content
-    v = valuation(g, p) if g > 1 else 0
+    v = _valuation(g, p) if g > 1 else 0
     m, fields = _mq_primitive(q.a // g, q.b // g, q.c // g, p)
     if m is None:
         return MqResult(p, None, v, InfiniteWitness(*fields))
@@ -197,10 +195,10 @@ def _mq_primitive(a: int, b: int, c: int, p: int) -> tuple[int | None, tuple]:
     infinite, else (m, FiniteWitness fields)."""
     disc = b * b - 4 * a * c
     if disc != 0:
-        bound = valuation(disc, p) + valuation(4 * a, p) + 2
+        bound = _valuation(disc, p) + _valuation(4 * a, p) + 2
     else:
-        v_lead = valuation(2 * a, p)
-        v_lin = valuation(b, p) if b else None
+        v_lead = _valuation(2 * a, p)
+        v_lin = _valuation(b, p) if b else None
         if v_lin is None or v_lead <= v_lin:
             # -b/2a is a p-adic integer; approximate it to a comfortable level
             prec = v_lead + 4
@@ -208,9 +206,9 @@ def _mq_primitive(a: int, b: int, c: int, p: int) -> tuple[int | None, tuple]:
             scale = p**v_lead
             r = (-(b // scale) * pow(2 * a // scale, -1, mod // scale)) % (mod // scale)
             fv = (a * r + b) * r + c
-            level = valuation(fv, p) if fv else prec
+            level = _valuation(fv, p) if fv else prec
             return None, ("double_root", r, level, None, None, v_lead, v_lin)
-        bound = 2 * v_lin + valuation(4 * a, p) + 2
+        bound = 2 * v_lin + _valuation(4 * a, p) + 2
     # Two roots of a class mod p are simple and lift to p-adic roots, so a
     # finite m_q splits along one chain of classes; the deepest class's rho
     # is the least root mod p^m.
@@ -220,12 +218,12 @@ def _mq_primitive(a: int, b: int, c: int, p: int) -> tuple[int | None, tuple]:
             continue
         fv = (a * rho + b) * rho + c
         dv = 2 * a * rho + b
-        if fv == 0 or (dv and valuation(fv, p) >= 2 * valuation(dv, p) + 1):
+        if fv == 0 or (dv and _valuation(fv, p) >= 2 * _valuation(dv, p) + 1):
             top, lvl = p, 1  # the least lvl >= 1 with rho < p^lvl
             while top <= rho:
                 top, lvl = top * p, lvl + 1
             return None, ("hensel", rho, lvl,
-                          valuation(fv, p) if fv else None, valuation(dv, p) if dv else None)
+                          _valuation(fv, p) if fv else None, _valuation(dv, p) if dv else None)
         if level == bound:  # mathematically unreachable; see module docstring
             raise FalsificationSignal(
                 f"root lifting for {QuadraticPoly(a, b, c)} mod {p} ran past its termination bound"
@@ -257,7 +255,7 @@ def _classify(q: QuadraticPoly, primes) -> QuadClassification:
             m = _mq_primitive(a, b, c, p)[0]
         if m is None:
             break
-        m += valuation(g, p) if g % p == 0 else 0
+        m += _valuation(g, p) if g % p == 0 else 0
         exponents.append(m)
         if m:
             factors.append((p, m))
@@ -290,8 +288,8 @@ def quad_practical_stream(
     A shortfall within n_limit returns the hits found when the
     classification is finite, and raises BudgetExceeded when it is infinite.
     """
-    if count < 1:
-        raise InvalidInput(f"count must be >= 1, got {count}")
+    _int_arg("count", count, 1)
+    _int_arg("n_limit", n_limit, 1)
     cls = classify_quadratic(q)
     values: list[int] = []  # the count smallest distinct hits so far, ascending
     turn = max(1, (-q.b) // (2 * q.a) + 1)  # q strictly increasing from here
@@ -422,8 +420,7 @@ def quad_constructive_witness(q: QuadraticPoly, threshold: int) -> QuadWitness:
     between raising k and adding root primes t, which monotonically raises
     sigma(D)/D.
     """
-    if threshold < 1:
-        raise InvalidInput(f"threshold must be >= 1, got {threshold}")
+    _int_arg("threshold", threshold, 1)
     primes = prime_stream()
     cls = _classify(q, primes)
     if cls.case != INFINITELY_MANY:

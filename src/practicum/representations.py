@@ -23,7 +23,7 @@ from itertools import compress
 from typing import TYPE_CHECKING
 
 from .arith import Factorization, _is_square, _jacobi, _sieve, crt_solve
-from .errors import FalsificationSignal, InvalidInput
+from .errors import FalsificationSignal, InvalidInput, _int_arg
 from .practical import (
     MultiplierCertificate,
     PracticalityVerdict,
@@ -83,15 +83,16 @@ class RepresentationTrace:
 
 
 def power2_practical(k: int, multiplier: int) -> MultiplierCertificate:
-    """Certified practical number 2^k * multiplier, multiplier <= 2^(k+1).
+    """Certified practical number 2^k * multiplier, 1 <= multiplier <= 2^(k+1).
 
     The bound is exactly sigma(2^k) + 1, so the certificate replays from
-    the trivial chain of the power of two.
+    the trivial chain of the power of two, whose k >= 1 must keep 2^(k+1)
+    under sieve's memory budget.
     """
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
-    if multiplier < 1:
-        raise InvalidInput(f"multiplier must be >= 1, got {multiplier}")
+    from .sieve import _check_memory
+
+    _int_arg("k", k, 1)
+    _check_memory(f"2^{k + 1}", (k + 1) // 8)
     return certify_product(practical_from_factorization(Factorization(((2, k),))), multiplier)
 
 
@@ -103,12 +104,15 @@ def sqrt_mod_power_of_two(m: int, k: int) -> int:
     j = 3.  Once j >= k + 2, x = m r is a root modulo 2^(k+2); modulo
     2^(k+1) the roots are x and -x, and exactly one of them lies below 2^k.
     That root is unique, so it is the one the doubling induction of the
-    proof builds.
+    proof builds.  k >= 1 must keep the numbers mod 2^(k+3) under sieve's
+    memory budget.
     """
-    if m % 8 != 1:
+    from .sieve import _check_memory
+
+    if _int_arg("m", m) % 8 != 1:
         raise InvalidInput(f"m must be 1 mod 8, got {m}")
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
+    _int_arg("k", k, 1)
+    _check_memory(f"arithmetic mod 2^{k + 3}", (k + 3) // 2)
     mod = 1 << (k + 3)
     m %= mod
     r, j = 1, 3
@@ -121,8 +125,8 @@ def sqrt_mod_power_of_two(m: int, k: int) -> int:
 
 def decompose_square_plus_practical(n: int) -> SquareDecomposition:
     """The canonical split n = x^2 + practical part for n = 1 (mod 8), n > 1."""
-    if n <= 1 or n % 8 != 1:
-        raise InvalidInput(f"n must be > 1 and 1 mod 8, got {n}")
+    if _int_arg("n", n, 2) % 8 != 1:
+        raise InvalidInput(f"n must be 1 mod 8, got {n}")
     m = (n.bit_length() - 1) // 2  # 2^(2m) <= n < 2^(2m+2)
     x = sqrt_mod_power_of_two(n, m)
     part = n - x * x
@@ -150,7 +154,7 @@ def family_spec(j: int) -> FamilySpec:
     2^v with m - 2^v a perfect square for some member m.  A family whose
     congruences do not force the obstruction raises FalsificationSignal.
     """
-    if j not in _FAMILY_CONGRUENCES:
+    if _int_arg("j", j) not in _FAMILY_CONGRUENCES:
         if j == 1:
             raise InvalidInput("every number 1 mod 8 is a square plus a practical number")
         raise InvalidInput(f"j must be in {NON_REPRESENTABLE_J}, got {j}")
@@ -172,8 +176,7 @@ def family_spec(j: int) -> FamilySpec:
 
 def family_stream(j: int, count: int) -> list[int]:
     """The `count` smallest members of the j family, ascending."""
-    if not 1 <= count <= _FAMILY_COUNT_CAP:
-        raise InvalidInput(f"count {count} is not in 1..{_FAMILY_COUNT_CAP} (_FAMILY_COUNT_CAP)")
+    _int_arg("count", count, 1, _FAMILY_COUNT_CAP, "_FAMILY_COUNT_CAP")
     spec = family_spec(j)
     members = []
     m = spec.residue
@@ -189,8 +192,7 @@ def verify_not_representable(m: int) -> RepresentationTrace:
 
     x = 0 is included, so m itself is also checked.
     """
-    if m < 1:
-        raise InvalidInput(f"m must be >= 1, got {m}")
+    _int_arg("m", m, 1)
     for x in range(math.isqrt(m - 1) + 1):
         part = m - x * x
         if is_practical_quick(part):
@@ -207,8 +209,7 @@ def goldbach_pair(
     Exhausting all practical p1 <= n/2 raises FalsificationSignal, which would
     falsify the two-practicals decomposition theorem.
     """
-    if n < 2 or n % 2:
-        raise InvalidInput(f"n must be even and >= 2, got {n}")
+    _goldbach_n(n)
     if bitmap is None or bitmap.limit < n:
         from .sieve import sieve_practicals
 
@@ -221,12 +222,17 @@ def goldbach_pair(
     raise FalsificationSignal(f"no practical pair sums to {n}")
 
 
+def _goldbach_n(n: int) -> None:
+    """Refuse n unless it is an even int >= 2: goldbach_pair's domain."""
+    if _int_arg("even n", n, 2) % 2:
+        raise InvalidInput(f"n must be even, got {n}")
+
+
 def practical_triples(
     limit: int, bitmap: PracticalBitmap | None = None
 ) -> list[int]:
     """All m <= limit with m-2, m, m+2 simultaneously practical."""
-    if limit < 1:
-        raise InvalidInput(f"limit must be >= 1, got {limit}")
+    _int_arg("limit", limit, 1)
     if bitmap is None or bitmap.limit < limit + 2:
         from .sieve import sieve_practicals
 
@@ -273,9 +279,7 @@ def palindromic_practicals(count: int) -> list[PalindromicEntry]:
     induction: A_1 = 88, and if A_i = 8 (10^(2^i) - 1) / 9, then
     A_i (10^(2^i) + 1) = 8 (10^(2^(i+1)) - 1) / 9.
     """
-    if not 1 <= count <= _PALINDROMIC_COUNT_CAP:
-        raise InvalidInput(
-            f"count {count} is not in 1..{_PALINDROMIC_COUNT_CAP} (_PALINDROMIC_COUNT_CAP)")
+    _int_arg("count", count, 1, _PALINDROMIC_COUNT_CAP, "_PALINDROMIC_COUNT_CAP")
     entries = [PalindromicEntry(index=1, value=88, evidence=is_practical(88))]
     for i in range(2, count + 1):
         power = (9 * entries[-1].value + 8) // 8

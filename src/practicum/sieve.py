@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .arith import primes_upto
-from .errors import BudgetExceeded, InvalidInput
+from .errors import BudgetExceeded, InvalidInput, _int_arg
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,8 +63,7 @@ class PracticalBitmap:
         self._flags = None
 
     def __contains__(self, n: int) -> bool:
-        if not 1 <= n <= self.limit:
-            raise InvalidInput(f"n = {n} outside bitmap range [1, {self.limit}]")
+        _int_arg("n", n, 1, self.limit, "the bitmap's limit")
         return bool(self.bits[n >> 3] >> (n & 7) & 1)
 
     @property
@@ -87,16 +86,13 @@ class PracticalBitmap:
 
     def as_int(self, x: int) -> int:
         """Bits 0..x as one int: bit n is set when n <= x is practical."""
-        if not 0 <= x <= self.limit:
-            raise InvalidInput(f"x = {x} outside bitmap range [0, {self.limit}]")
+        _int_arg("x", x, 0, self.limit, "the bitmap's limit")
         last = self.bits[x >> 3] & ((2 << (x & 7)) - 1)  # bits 8 * (x >> 3)..x
         return int.from_bytes(self.bits[: x >> 3] + bytes((last,)), "little")
 
     def count(self, x: int | None = None) -> int:
         """Number of practical numbers <= x (default: <= limit)."""
-        x = self.limit if x is None else x
-        if not 1 <= x <= self.limit:
-            raise InvalidInput(f"x = {x} outside bitmap range [1, {self.limit}]")
+        x = self.limit if x is None else _int_arg("x", x, 1, self.limit, "the bitmap's limit")
         return self.as_int(x).bit_count()
 
     def save(self, path: str | Path) -> None:
@@ -275,8 +271,7 @@ def _check_memory(what: str, need: int) -> None:
 def sieve_practicals(limit: int) -> PracticalBitmap:
     """Bitmap of practical numbers on [1, limit]: per block of the walk, one
     scatter for its nodes and one per 1024 nodes for their leaves."""
-    if limit < 1:
-        raise InvalidInput(f"sieve limit must be >= 1, got {limit}")
+    _int_arg("limit", limit, 1)
     packed = (limit + 8) // 8  # held twice: the packed array and its bytes copy
     _check_memory(f"bitmap for limit {limit}", limit + 1 + 2 * packed + _walk_bytes(limit))
     import numpy as np
@@ -294,14 +289,13 @@ def _counts(xs: list[int], bitmap: PracticalBitmap | None) -> list[int]:
     """The number of practical numbers <= x for each x in xs: from the bitmap
     when it reaches max(xs), else from one walk to max(xs), whose
     _walk_bytes must fit DEFAULT_MEMORY_BUDGET.  A node m counts towards x
-    when m <= x, its leaves m * q when q <= x // m."""
-    if min(xs) < 1:
-        raise InvalidInput(f"count bound must be >= 1, got {min(xs)}")
+    when m <= x, its leaves m * q when q <= x // m; below 2^59,
+    sigma(m) + 1 <= 7 * x stays under 2^63."""
+    for x in xs:
+        _int_arg("x", x, 1, (1 << 59) - 1, "2^59 - 1, the int64 tree walk")
     limit = max(xs)
     if bitmap is not None and bitmap.limit >= limit:
         return [bitmap.count(x) for x in xs]
-    if limit >= 1 << 59:  # below it, sigma(m) + 1 <= 7 * limit stays under 2^63
-        raise InvalidInput(f"count bound must be < 2^59 for the int64 tree walk, got {limit}")
     _check_memory(f"tree walk to {limit}", _walk_bytes(limit))
     import numpy as np
 

@@ -121,14 +121,17 @@ def test_factorize_rejects_non_integers(n):
 @pytest.mark.parametrize("n, p", [(12.0, 2), (12, 2.0), ("12", 2), (12, None)])
 def test_valuation_rejects_non_integers(n, p):
     # valuation(12.0, 2) would otherwise return 2
-    with pytest.raises(InvalidInput, match=re.escape(f"got {(n, p)!r}")):
+    name, bad = ("n", n) if type(n) is not int else ("p", p)
+    with pytest.raises(InvalidInput, match=re.escape(f"{name} must be an integer, got {bad!r}")):
         valuation(n, p)
 
 
 @pytest.mark.parametrize("congruence", [(1.0, 3), (1, 3.0), ("1", 3)])
 def test_crt_solve_rejects_non_integers(congruence):
     # crt_solve([(1.0, 3)]) would otherwise return (1.0, 3)
-    with pytest.raises(InvalidInput, match=re.escape(f"got {congruence!r}")):
+    r, m = congruence
+    name, bad = ("residue", r) if type(r) is not int else ("modulus", m)
+    with pytest.raises(InvalidInput, match=re.escape(f"{name} must be an integer, got {bad!r}")):
         crt_solve([(2, 5), congruence])
 
 
@@ -141,13 +144,14 @@ def test_mq_rejects_non_integers(p):
 
 @pytest.mark.parametrize("a, b", [(3.0, 5), (3, 5.0), (3, "5")])
 def test_classify_ap_rejects_non_integers(a, b):
-    with pytest.raises(InvalidInput, match=re.escape(f"got {(a, b)!r}")):
+    name, bad = ("a", a) if type(a) is not int else ("b", b)
+    with pytest.raises(InvalidInput, match=re.escape(f"{name} must be an integer, got {bad!r}")):
         classify_ap(a, b)
 
 
 @pytest.mark.parametrize("n", [12.0, 12.5, "12", None])
 def test_is_practical_quick_rejects_non_integers(n):
-    with pytest.raises(InvalidInput, match=f"integers, got {n!r}"):
+    with pytest.raises(InvalidInput, match=re.escape(f"n must be an integer, got {n!r}")):
         is_practical_quick(n)
 
 

@@ -36,14 +36,14 @@ def test_verdict_examples():
     assert v.witness.prime == 3 and v.witness.bound == 2
     with pytest.raises(InvalidInput):
         is_practical(0)
-    with pytest.raises(InvalidInput, match="defined for n >= 1, got 0"):
+    with pytest.raises(InvalidInput, match="n must be >= 1, got 0"):
         is_practical_quick(0)
 
 
 @pytest.mark.parametrize("n", [12.0, 12.5, "12", None])
 def test_is_practical_rejects_non_integers(n):
     # a float such as 12.0 would otherwise factor and come back practical
-    with pytest.raises(InvalidInput, match=f"integers, got {n!r}"):
+    with pytest.raises(InvalidInput, match=f"n must be an integer, got {n!r}"):
         is_practical(n)
 
 
@@ -130,6 +130,10 @@ def test_replay_rejects_tampered_chain():
         88, True, chain=((2, 3, 15), (17, 1, 15 * 18))
     ).replay()
     assert not PracticalityVerdict(88, False, witness=StewartWitness(1, 5, 3)).replay()
+    # non-integer fields: 8.0 == 8, and a float prime used to raise TypeError
+    assert not PracticalityVerdict(8.0, True, chain=((2, 3, 15),)).replay()
+    assert not PracticalityVerdict(88, True, chain=((2.0, 3, 15), (11, 1, 180))).replay()
+    assert not PracticalityVerdict(88, True, chain=((2, 3, 15.0), (11, 1, 180))).replay()
 
 
 def test_negative_verdict_carries_practical_prefix():
@@ -159,6 +163,8 @@ def test_replay_rejects_forged_negative_verdicts():
         PracticalityVerdict(good.n, False, ((2, 3, 16),), StewartWitness(2, 17, 17)),
         # no witness at all
         PracticalityVerdict(good.n, False, good.chain),
+        # a float witness prime: 17.0 divides n / prefix as 17 does
+        PracticalityVerdict(good.n, False, good.chain, StewartWitness(2, 17.0, 16)),
     ]
     for v in forged:
         assert not v.replay(), v
@@ -285,6 +291,8 @@ def test_certificate_chains_and_tampering():
         base_evidence=c1,
     )
     assert not unknown_kind.verify()
+    # a float multiplier: its value would be 176.0
+    assert not MultiplierCertificate(88, 2.0, 181, "sigma", is_practical(88)).verify()
 
 
 _PRACTICALS = sieve_practicals(10**4).members().tolist()

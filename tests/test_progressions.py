@@ -231,7 +231,8 @@ def test_nonpractical_witness_errors():
     cap = progressions._POLY_BOUND_CAP
     with pytest.raises(BudgetExceeded, match="raise --scan-bound"):
         nonpractical_witness([0, 10**40], n_limit=1000)
-    with pytest.raises(InvalidInput, match=f"scan bound {cap + 1} exceeds {cap} "):
+    message = rf"n_limit must be <= {cap} \(_POLY_BOUND_CAP\), got {cap + 1}"
+    with pytest.raises(InvalidInput, match=message):
         nonpractical_witness([0, 10**40], n_limit=cap + 1)
     with pytest.raises(InvalidInput):
         nonpractical_witness([5])

@@ -46,7 +46,7 @@ def test_poly_validation():
 @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
 def test_poly_rejects_non_integer_coefficients(bad):
     for coeffs in ((bad, 0, 1), (1, bad, 1), (1, 0, bad)):
-        with pytest.raises(InvalidInput, match=f"integers, got {bad!r}"):
+        with pytest.raises(InvalidInput, match=f"must be an integer, got {bad!r}"):
             QuadraticPoly(*coeffs)
 
 
